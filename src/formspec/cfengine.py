@@ -5,10 +5,14 @@ from prescribed digit sequences with periodic tails.
 Digit conventions: an expansion is ``[a0; d1, d2, ...]`` with all partial
 quotients ``d_i >= 1``.  Finite (rational) expansions are canonical: they
 never end in the redundant digit 1.  Expansions of algebraic numbers are
-computed lazily and exactly: each digit comes from an exact floor, and the
-tail value is carried either in closed field form (quadratic values, number
-field elements) or by a shift-and-reverse update of the defining polynomial
-(general algebraic reals).
+computed lazily and exactly.  Quadratic values carry their tail in closed
+form, which exposes the eventual period.  Every other algebraic value
+(number field elements are converted once to an ``AlgebraicReal``) keeps
+the value itself plus its last two convergents: the next digit is the
+largest ``a`` for which the value lies on the correct side of
+``(a p_k + p_{k-1}) / (a q_k + q_{k-1})``, found by exact comparisons with
+rationals only.  A comparison that hits equality proves the value rational
+and ends the expansion.
 """
 
 from __future__ import annotations
@@ -50,9 +54,11 @@ class CFExpansion:
 
     ``tail`` is one of ``"finite"`` (rational value, digits complete),
     ``"periodic"`` (eventually repeating block, digits available at any
-    index) or ``"lazy"`` (backed by an exact tail value, resumable to any
-    depth).  Digit computation is memoized; concurrent reads are safe and
-    digit production is serialized per expansion.
+    index) or ``"lazy"`` (resumable to any depth, backed by the exact tail
+    value for rational and quadratic values, or by a ``_ConvergentTail``
+    for every other algebraic value).  Digit computation is memoized;
+    concurrent reads are safe and digit production is serialized per
+    expansion.
     """
 
     def __init__(self, a0: int, digits: List[int], state, *,
@@ -163,27 +169,14 @@ class CFExpansion:
             self._digits.append(a)
             self._state = (v - Fraction(a)).inverse()
             return
-        if isinstance(v, FieldElement):
-            if v.is_rational():
-                self._state = v.as_fraction()
-                return self._step(override_guard)
-            a = v.floor()
-            self._guard(a, override_guard)
-            self._digits.append(a)
-            self._state = (v - Fraction(a)).inverse()
-            return
-        if isinstance(v, AlgebraicReal):
-            if v.is_rational():
-                self._state = v.as_fraction()
-                return self._step(override_guard)
-            a = v.floor()
-            if v.is_rational():  # floor refinement exposed a rational value
-                self._state = v.as_fraction()
+        if isinstance(v, _ConvergentTail):
+            a = v.next_digit()
+            if v.x.is_rational():  # a comparison hit the value exactly
+                self._state = v.rational_tail()
                 return self._step(override_guard)
             self._guard(a, override_guard)
             self._digits.append(a)
-            # tail update 1/(x - a): shift the defining polynomial, reverse
-            self._state = v.mobius(0, 1, 1, -a)
+            v.push(a)
             return
         raise ExactError(f"cannot expand values of type {type(v).__name__}")
 
@@ -210,6 +203,53 @@ class CFExpansion:
                     raise ExactError("period resolution exceeded the cap")
 
 
+class _ConvergentTail:
+    """Lazy tail of an irrational algebraic value x after k >= 0 digits.
+
+    Holds x, which never changes, and the convergents p_k/q_k and
+    p_{k-1}/q_{k-1}.  The tail value t satisfies
+    x = (t p_k + p_{k-1}) / (t q_k + q_{k-1}) with t > 1, so t >= a exactly
+    when x lies on t's side of (a p_k + p_{k-1}) / (a q_k + q_{k-1}); the
+    map t -> x increases when p_k q_{k-1} - p_{k-1} q_k > 0 and decreases
+    otherwise.
+    """
+
+    __slots__ = ("x", "p", "q", "p_prev", "q_prev")
+
+    def __init__(self, x: AlgebraicReal, a0: int):
+        self.x = x
+        self.p, self.q = a0, 1
+        self.p_prev, self.q_prev = 1, 0
+
+    def _tail_at_least(self, a: int) -> bool:
+        c = self.x.compare(Fraction(a * self.p + self.p_prev,
+                                    a * self.q + self.q_prev))
+        increasing = self.p * self.q_prev - self.p_prev * self.q > 0
+        return c == 0 or (c > 0) == increasing
+
+    def next_digit(self) -> int:
+        """floor(t): double a while t >= a, then bisect the last step."""
+        lo, hi = 1, 2
+        while self._tail_at_least(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._tail_at_least(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def push(self, a: int):
+        self.p, self.p_prev = a * self.p + self.p_prev, self.p
+        self.q, self.q_prev = a * self.q + self.q_prev, self.q
+
+    def rational_tail(self) -> Fraction:
+        """Exact t once x is known to be rational."""
+        v = self.x.as_fraction()
+        return (self.p_prev - v * self.q_prev) / (v * self.q - self.p)
+
+
 def expand(x: Value, depth: int, *, digit_limit: Optional[int] = DIGIT_GUARD,
            override_guard: bool = False) -> CFExpansion:
     """Exact continued fraction of ``x`` with at least ``depth + 1`` digits
@@ -222,22 +262,20 @@ def expand(x: Value, depth: int, *, digit_limit: Optional[int] = DIGIT_GUARD,
         a0 = _mfloor(x)
         cf = CFExpansion(a0, [], None if x == a0 else 1 / (x - a0),
                          digit_limit=digit_limit)
-    elif isinstance(x, (QuadraticReal, AlgebraicReal, FieldElement)):
-        if isinstance(x, QuadraticReal) and x.is_rational():
-            return expand(x.as_fraction(), depth, digit_limit=digit_limit)
-        if isinstance(x, FieldElement) and x.is_rational():
-            return expand(x.as_fraction(), depth, digit_limit=digit_limit)
-        if isinstance(x, AlgebraicReal) and x.is_rational():
+    elif isinstance(x, QuadraticReal):
+        if x.is_rational():
             return expand(x.as_fraction(), depth, digit_limit=digit_limit)
         a0 = x.floor()
-        if isinstance(x, AlgebraicReal) and x.is_rational():
-            # floor refinement can expose an exactly rational value
+        cf = CFExpansion(a0, [], (x - Fraction(a0)).inverse(),
+                         digit_limit=digit_limit)
+    elif isinstance(x, (AlgebraicReal, FieldElement)):
+        if isinstance(x, FieldElement):
+            x = x.as_algebraic()
+        a0 = x.floor()
+        if x.is_rational():  # possibly exposed by the floor refinement
             return expand(x.as_fraction(), depth, digit_limit=digit_limit)
-        if isinstance(x, (QuadraticReal, FieldElement)):
-            tail = (x - Fraction(a0)).inverse()
-        else:
-            tail = x.mobius(0, 1, 1, -a0)
-        cf = CFExpansion(a0, [], tail, digit_limit=digit_limit)
+        cf = CFExpansion(a0, [], _ConvergentTail(x, a0),
+                         digit_limit=digit_limit)
     else:
         raise ExactError(f"cannot expand values of type {type(x).__name__}")
     for i in range(1, depth + 1):
@@ -279,18 +317,6 @@ def cf_value(a0: int, digits: Sequence[int]) -> Fraction:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
     return Fraction(p, q)
-
-
-def _exact_diff(x: Value, fr: Fraction):
-    """|x - fr| as an exact nonnegative object with .sign/.enclosure."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return abs(x - fr)
-    d = x - fr if not isinstance(x, AlgebraicReal) else x.shift(-fr)
-    if isinstance(d, AlgebraicReal):
-        return d if d.sign() >= 0 else d.neg()
-    return d if d.sign() >= 0 else -d
 
 
 def approx_error(x: Value, N: int, cf: Optional[CFExpansion] = None) -> RatInterval:

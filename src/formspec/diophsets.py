@@ -341,8 +341,9 @@ def cutting_density_estimate(prefix: Sequence[int], eta: Fraction,
 # structural classification
 
 
-def _endpoint_digits(fr: Fraction, upto: int) -> List[int]:
-    cf = expand(fr, upto, digit_limit=None)
+def _value_digits(x, upto: int) -> List[int]:
+    """Digits alpha_0 .. alpha_upto of x, fewer if the expansion ends."""
+    cf = expand(x, upto, digit_limit=None)
     L = cf.finite_length()
     top = min(upto, L) if L is not None else upto
     return cf.digits_upto(top)
@@ -352,14 +353,12 @@ def _first_split(iv: RatInterval, upto: int = 200) -> Tuple[int, List[int]]:
     """Smallest digit index where the digit map is not constant on iv,
     and the digits shared strictly before it.  Exact: digit cylinders are
     intervals, so endpoint agreement forces interior agreement."""
-    da = _endpoint_digits(iv.lo, upto)
-    db = _endpoint_digits(iv.hi, upto)
+    da = _value_digits(iv.lo, upto)
+    db = _value_digits(iv.hi, upto)
     m = 0
     while m < len(da) and m < len(db) and da[m] == db[m]:
         m += 1
-    if m >= len(da) or m >= len(db):
-        # one endpoint's expansion ended: digits split right there
-        return m, da[:m]
+    # also right when one endpoint's expansion ended: digits split there
     return m, da[:m]
 
 
@@ -367,8 +366,8 @@ def _digit_range_on(iv: RatInterval, n0: int, shared: List[int]
                     ) -> Tuple[int, Optional[int]]:
     """Digit values taken by alpha_n0 on iv: (min, max) with max None for
     unbounded (the inner cylinder boundary point lies inside iv)."""
-    da = _endpoint_digits(iv.lo, n0)
-    db = _endpoint_digits(iv.hi, n0)
+    da = _value_digits(iv.lo, n0)
+    db = _value_digits(iv.hi, n0)
     va = da[n0] if len(da) > n0 else None
     vb = db[n0] if len(db) > n0 else None
     if shared:
@@ -448,13 +447,6 @@ def structural_classify(rho, iv: RatInterval, params: DiophParams, n: int,
     ratio = (sub.width / iv.width) / (params.tau1 * params.epsilon)
     return ClassifiedInterval(iv, "TypeII", sub, sdens, scnt,
                               c_estimate=ratio, split_index=n0)
-
-
-def _value_digits(rho, upto: int) -> List[int]:
-    cf = expand(rho, upto, digit_limit=None)
-    L = cf.finite_length()
-    top = min(upto, L) if L is not None else upto
-    return cf.digits_upto(top)
 
 
 def _cmp_point(rho, q: Fraction) -> int:

@@ -46,7 +46,6 @@ __all__ = [
     "algebraic_to_quadratic",
     "sqrt_interval",
     "nth_root_interval",
-    "floor_value",
     "same_value",
 ]
 
@@ -226,27 +225,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_interval(self, iv: RatInterval) -> RatInterval:
-        """Interval extension of evaluation (Horner with interval ops)."""
-        acc = RatInterval(Fraction(0), Fraction(0))
-        for c in reversed(self.coeffs):
-            acc = acc * iv + RatInterval(Fraction(c), Fraction(c))
-        return acc
-
-    # -- transforms --------------------------------------------------------
-    def shift(self, a: int) -> "IntPolynomial":
-        """p(x + a) by iterated synthetic division (exact, integer)."""
-        cs = list(self.coeffs)
-        n = len(cs)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                cs[j] += a * cs[j + 1]
-        return IntPolynomial(cs)
-
-    def reversed_coeffs(self) -> "IntPolynomial":
-        """x**deg * p(1/x)."""
-        return IntPolynomial(list(reversed(self.coeffs)))
 
     def primitive(self) -> "IntPolynomial":
         if self.is_zero():
@@ -743,15 +721,6 @@ def same_value(a: AlgebraicReal, b: AlgebraicReal) -> bool:
         wa, wb = wa / 4, wb / 4
 
 
-def floor_value(x) -> int:
-    """Exact floor of a Fraction, AlgebraicReal, QuadraticReal or FieldElement."""
-    if isinstance(x, Fraction):
-        return _mfloor(x)
-    if isinstance(x, int):
-        return x
-    return x.floor()
-
-
 # ---------------------------------------------------------------------------
 # quadratic irrationals
 
@@ -951,23 +920,6 @@ class QuadraticReal:
 
     def __float__(self):
         return float(self.enclosure(Fraction(1, 2 ** 56)).mid)
-
-    # -- continued fraction ----------------------------------------------------
-    def cf_digits(self):
-        """Yield exact CF digits; detects rational termination."""
-        v = self
-        while True:
-            if v.is_rational():
-                x = v.as_fraction()
-                while True:
-                    a = _mfloor(x)
-                    yield a
-                    if x == a:
-                        return
-                    x = 1 / (x - a)
-            a = v.floor()
-            yield a
-            v = (v - Fraction(a)).inverse()
 
 
 def algebraic_to_quadratic(a: AlgebraicReal) -> Optional[QuadraticReal]:

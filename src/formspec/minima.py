@@ -24,7 +24,6 @@ from .cfengine import CFExpansion, convergents, expand
 from .exactcore import (
     AlgebraicReal,
     ExactError,
-    FieldElement,
     RatInterval,
     algebraic_to_quadratic,
 )
@@ -199,89 +198,36 @@ def _box_min_generic(f: BinaryForm, T: int) -> Tuple[Mag, Tuple[int, int]]:
 # convergent candidates
 
 
-def _root_expansion(v, depth: int, digit_limit) -> CFExpansion:
+def _root_expansion(v, depth: int) -> CFExpansion:
     if isinstance(v, AlgebraicReal):
         q = algebraic_to_quadratic(v)
         if q is not None:  # quadratic values get exact periodic tails
             v = q
-    return expand(v, depth, digit_limit=digit_limit)
+    return expand(v, depth, digit_limit=None)
 
 
-def _euclid_digits(x: Fraction, cap: int) -> List[int]:
-    out = []
-    while len(out) < cap:
-        a = _mfloor(x)
-        out.append(a)
-        if x == a:
-            break
-        x = 1 / (x - a)
-    return out
-
-
-def _certified_digits(v, upto: int, max_rounds: int = 8) -> List[int]:
-    """Digits [alpha_0..alpha_upto] of an exact scalar, certified by
-    endpoint agreement of a refined enclosure (digit cylinders are
-    intervals, so shared endpoint digits are shared by every interior
-    point).  Falls back to the exact lazy expansion if agreement stalls
-    (e.g. an undetected rational value)."""
-    from .forms import scalar_enclosure as _enc
-    w = Fraction(1, 2 ** 128)
-    for _ in range(max_rounds):
-        e = _enc(v, w)
-        if e.lo == e.hi:
-            break
-        da = _euclid_digits(e.lo, upto + 2)
-        db = _euclid_digits(e.hi, upto + 2)
-        m = 0
-        while m < len(da) and m < len(db) and da[m] == db[m]:
-            m += 1
-        if m >= upto + 1:
-            return da[:upto + 1]
-        w = w * w
-    cf = _root_expansion(v, upto, None)
-    L = cf.finite_length()
-    top = min(upto, L) if L is not None else upto
-    return cf.digits_upto(top)
-
-
-def _root_pairs(v, depth: int, digit_limit
+def _root_pairs(v, depth: int
                 ) -> Tuple[List[Tuple[int, int]], List[int],
                            Optional[Tuple[int, ...]], bool]:
-    """Convergent pairs, digits, periodic block (if any) and a finiteness
-    flag for a real root value.
+    """Convergent pairs (p_k, q_k) for k <= depth, digits alpha_0 ..
+    alpha_{depth+1}, periodic block (if any) and a finiteness flag for a
+    real root value.
 
-    Degree >= 3 algebraic values are never eventually periodic, so their
-    digits come from the fast certified-enclosure path; quadratic values
-    go through the exact lazy expansion so the period is detected.
+    Degree-2 roots are expanded in closed quadratic form so the period is
+    detected; every other root uses the exact convergent engine of
+    ``cfengine``.  An expansion that ends early (rational value) yields
+    fewer pairs and digits.
     """
-    fast = (isinstance(v, AlgebraicReal) and not v.is_rational()
-            and v.minpoly.degree >= 3) or \
-           (isinstance(v, FieldElement) and not v.is_rational()
-            and v.field.degree >= 3)
-    if fast:
-        digits = _certified_digits(v, depth + 1)
-        return _pairs_from_digits(digits, depth), digits, None, False
-    cf = _root_expansion(v, depth + 1, digit_limit)
+    cf = _root_expansion(v, depth + 1)
     L = cf.finite_length()
     top = min(depth + 1, L) if L is not None else depth + 1
     digits = cf.digits_upto(top)
+    pairs = [(c.p, c.q) for c in convergents(cf, min(depth, top))]
     blk = cf.period_block if cf.tail == "periodic" else None
-    return _pairs_from_digits(digits, depth), digits, blk, L is not None
+    return pairs, digits, blk, L is not None
 
 
-def _pairs_from_digits(digits: List[int], depth: int) -> List[Tuple[int, int]]:
-    p_prev, q_prev = 1, 0
-    p, q = digits[0], 1
-    out = [(p, q)]
-    for a in digits[1:depth + 1]:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append((p, q))
-    return out
-
-
-def convergent_candidates(f: FormLike, depth: int = DEFAULT_DEPTH,
-                          digit_limit: Optional[int] = None
+def convergent_candidates(f: FormLike, depth: int = DEFAULT_DEPTH
                           ) -> List[Tuple[int, int, Mag]]:
     """For each real root, the convergent pairs (p_k, q_k) with exact
     magnitude evaluations of |P|; empty when the form has no real roots."""
@@ -289,18 +235,14 @@ def convergent_candidates(f: FormLike, depth: int = DEFAULT_DEPTH,
     out: List[Tuple[int, int, Mag]] = []
     seen = set()
     for v in roots:
-        pairs, _, _, _ = _root_pairs(v, depth, digit_limit)
+        pairs, _, _, _ = _root_pairs(v, depth)
         for (p, q) in pairs:
             key = (p, q)
             if key in seen:
                 continue
             seen.add(key)
-            out.append((p, q, _abs_at(f, p, q)))
+            out.append((p, q, f.abs_at(p, q)))
     return out
-
-
-def _abs_at(f: FormLike, x: int, y: int) -> Mag:
-    return f.abs_at(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +252,6 @@ def _abs_at(f: FormLike, x: int, y: int) -> Mag:
 def m_estimate(f: FormLike, box: int = DEFAULT_BOX, depth: int = DEFAULT_DEPTH,
                eta: Optional[Fraction] = None,
                assumed_subcritical: Sequence = (),
-               digit_limit: Optional[int] = None,
                certify: bool = True) -> MinResult:
     """Minimum of |P| over the box plus all root convergents to ``depth``.
 
@@ -327,7 +268,7 @@ def m_estimate(f: FormLike, box: int = DEFAULT_BOX, depth: int = DEFAULT_DEPTH,
     disc_guard(f)
     base = brute_force_min(f, box)
     best, best_vec = base.value, base.attaining
-    cands = convergent_candidates(f, depth, digit_limit)
+    cands = convergent_candidates(f, depth)
     for (p, q, mag) in cands:
         c = mag.compare(best)
         if c < 0 or (c == 0 and _vec_order(p, q) < _vec_order(*best_vec)):
@@ -338,8 +279,7 @@ def m_estimate(f: FormLike, box: int = DEFAULT_BOX, depth: int = DEFAULT_DEPTH,
     if not certify:
         return MinResult(best, best_vec, box, depth, False,
                          f"heuristic at depth {depth}: certification skipped")
-    certified, note = _certify(f, best, box, depth, eta, assumed_subcritical,
-                               digit_limit)
+    certified, note = _certify(f, best, box, depth, eta, assumed_subcritical)
     return MinResult(best, best_vec, box, depth, certified, note)
 
 
@@ -368,7 +308,7 @@ def _vec_order(x: int, y: int) -> Tuple[int, int]:
 
 
 def _certify(f: FormLike, best: Mag, box: int, depth: int, eta: Fraction,
-             assumed_subcritical: Sequence, digit_limit) -> Tuple[bool, str]:
+             assumed_subcritical: Sequence) -> Tuple[bool, str]:
     """Layered sufficiency argument that no vector outside the candidate
     set beats the candidate minimum.  Conservative: may return False for a
     true minimum; never returns True unsoundly (given the stated digit
@@ -431,7 +371,7 @@ def _certify(f: FormLike, best: Mag, box: int, depth: int, eta: Fraction,
         if scalar_is_rational(v):
             return False, "rational root present but minimum not zero"
         assumed = any(compare_scalars(v, w) == 0 for w in assumed_subcritical)
-        pairs, digits, block, finite = _root_pairs(v, depth + 1, digit_limit)
+        pairs, digits, block, finite = _root_pairs(v, depth + 1)
         if finite:
             return False, "rational root present but minimum not zero"
         permanent = block is not None
@@ -584,7 +524,6 @@ def _eval_iv(coeffs: List[Fraction], a: Fraction, b: Fraction) -> RatInterval:
 
 
 def m_rho(rho, n: int, depth: int = DEFAULT_DEPTH,
-          digit_limit: Optional[int] = None,
           boundary_scan: int = 50) -> RootMinResult:
     """Enclosure of min over 1 <= Y <= Q_depth of Y^(n-1) |Y rho - X|.
 
@@ -595,7 +534,7 @@ def m_rho(rho, n: int, depth: int = DEFAULT_DEPTH,
     """
     if n < 2:
         raise ExactError("degree must be >= 2")
-    cf = expand(rho, depth, digit_limit=digit_limit)
+    cf = expand(rho, depth, digit_limit=None)
     L = cf.finite_length()
     top = min(depth, L) if L is not None else depth
     cv = convergents(cf, top)

@@ -23,6 +23,7 @@ from formspec.cfengine import (
 from formspec.exactcore import (
     ExactError,
     IntPolynomial,
+    NumberField,
     QuadraticReal,
     RatInterval,
     isolate_real_roots,
@@ -49,20 +50,33 @@ class TestExpand:
         assert cf.tail == "periodic" and cf.period_block == (1,)
 
     def test_cubic_against_decimal_oracle(self):
-        # independent 200-digit floor-and-invert oracle
+        # independent 200-digit floor-and-invert oracle on the largest real
+        # root of each polynomial (coefficients from x^0 up), by Newton
         getcontext().prec = 220
-        x = Decimal("1.2")
-        for _ in range(100):
-            x = x - (x ** 3 + x ** 2 - 2 * x - 1) / (3 * x ** 2 + 2 * x - 2)
-        digs = []
-        y = x
-        for _ in range(16):
-            a = int(y)
-            digs.append(a)
-            y = 1 / (y - a)
-        cf = expand(rho_root(), 15)
-        assert cf.digits_upto(15) == digs[:16]
-        assert cf.tail == "lazy"
+
+        def oracle(coeffs, start, n):
+            x = Decimal(start)
+            for _ in range(100):
+                f = sum(c * x ** i for i, c in enumerate(coeffs))
+                df = sum(i * c * x ** (i - 1)
+                         for i, c in enumerate(coeffs) if i)
+                x = x - f / df
+            digs = []
+            for _ in range(n):
+                a = int(x)
+                digs.append(a)
+                x = 1 / (x - a)
+            return digs
+
+        quartic = IntPolynomial([-2, 0, 0, 0, 1])  # x^4 - 2
+        r = NumberField(isolate_real_roots(IntPolynomial([-1, -1, 0, 1]))[0])
+        cases = [(rho_root(), CUBIC.coeffs, "1.2"),
+                 (isolate_real_roots(quartic)[-1], quartic.coeffs, "1.2"),
+                 (r.generator(), (-1, -1, 0, 1), "1.3")]  # r^3 = r + 1
+        for value, coeffs, start in cases:
+            cf = expand(value, 15)
+            assert cf.digits_upto(15) == oracle(coeffs, start, 16)
+            assert cf.tail == "lazy"
 
     def test_resumable(self):
         cf = expand(rho_root(), 3)

@@ -9,6 +9,7 @@ from formspec.exactcore import (
     QuadraticReal,
     isolate_real_roots,
 )
+from formspec.cfengine import expand
 from formspec.forms import BinaryForm, Mag, ProductForm, Transform, act
 from formspec.minima import (
     brute_force_min,
@@ -70,6 +71,18 @@ class TestMEstimate:
     def test_rational_root_certified_zero(self):
         r = m_estimate(BinaryForm.parse("3: 1 0 -1 0"))
         assert r.value.is_zero() and r.certified
+
+    def test_rational_root_missed_by_isolation(self):
+        # (3x - 2y)(x^2 - 7y^2): the isolating interval of the middle root
+        # does not land on 2/3, so only the digit engine exposes it
+        form = "3: 3 -2 -21 14"
+        mid = BinaryForm.parse(form).real_root_values()[1]
+        assert not mid.is_rational()
+        cf = expand(mid, 10)
+        assert cf.tail == "finite" and cf.finite_length() == 2
+        assert cf.digits_upto(2) == [0, 1, 2]
+        r = m_estimate(BinaryForm.parse(form))
+        assert r.value.is_zero() and r.attaining == (2, 3) and r.certified
 
     def test_anisotropic_certified(self):
         r = m_estimate(BinaryForm.parse("2: 1 0 1"))
