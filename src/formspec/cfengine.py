@@ -5,14 +5,14 @@ from prescribed digit sequences with periodic tails.
 Digit conventions: an expansion is ``[a0; d1, d2, ...]`` with all partial
 quotients ``d_i >= 1``.  Finite (rational) expansions are canonical: they
 never end in the redundant digit 1.  Expansions of algebraic numbers are
-computed lazily and exactly.  Quadratic values carry their tail in closed
-form, which exposes the eventual period.  Every other algebraic value
-(number field elements are converted once to an ``AlgebraicReal``) keeps
-the value itself plus its last two convergents: the next digit is the
-largest ``a`` for which the value lies on the correct side of
-``(a p_k + p_{k-1}) / (a q_k + q_{k-1})``, found by exact comparisons with
-rationals only.  A comparison that hits equality proves the value rational
-and ends the expansion.
+computed lazily and exactly.  Quadratic values, including degree-2
+algebraic roots, carry their tail in closed form, which exposes the
+eventual period.  Every other algebraic value (number field elements are
+converted once to an ``AlgebraicReal``) keeps the value itself plus its
+last two convergents: the next digit is the largest ``a`` for which the
+value lies on the correct side of ``(a p_k + p_{k-1}) / (a q_k + q_{k-1})``,
+found by exact comparisons with rationals only.  A comparison that hits
+equality proves the value rational and ends the expansion.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .exactcore import (
     FieldElement,
     QuadraticReal,
     RatInterval,
+    algebraic_to_quadratic,
 )
 
 Value = Union[Fraction, int, AlgebraicReal, QuadraticReal, FieldElement]
@@ -90,6 +91,12 @@ class CFExpansion:
         if self.tail == "finite":
             return len(self._digits)
         return None
+
+    def clip(self, n: int) -> int:
+        """``n``, or the last digit index if the expansion is finite and
+        ends before ``n``."""
+        L = self.finite_length()
+        return n if L is None else min(n, L)
 
     def max_digit_from(self, i: int) -> int:
         """Max over all digits alpha_j with j >= i (periodic tails only)."""
@@ -271,6 +278,10 @@ def expand(x: Value, depth: int, *, digit_limit: Optional[int] = DIGIT_GUARD,
     elif isinstance(x, (AlgebraicReal, FieldElement)):
         if isinstance(x, FieldElement):
             x = x.as_algebraic()
+        q = algebraic_to_quadratic(x)
+        if q is not None:  # closed quadratic form: the period is detected
+            return expand(q, depth, digit_limit=digit_limit,
+                          override_guard=override_guard)
         a0 = x.floor()
         if x.is_rational():  # possibly exposed by the floor refinement
             return expand(x.as_fraction(), depth, digit_limit=digit_limit)
@@ -354,8 +365,7 @@ def is_convergent(x: Value, X: int, Y: int, depth: int,
     if math.gcd(abs(X), Y) != 1:
         raise ExactError("(X, Y) must be coprime")
     cf = cf if cf is not None else expand(x, depth)
-    L = cf.finite_length()
-    top = min(depth, L) if L is not None else depth
+    top = cf.clip(depth)
     p_prev, q_prev = 1, 0
     p, q = cf.a0, 1
     if (p, q) == (X, Y):
@@ -458,8 +468,7 @@ def dioph_exponent_estimate(x: Value, depth: int,
     if depth < 2:
         raise ExactError("depth must be >= 2")
     cf = cf if cf is not None else expand(x, depth)
-    L = cf.finite_length()
-    top = min(depth, L) if L is not None else depth
+    top = cf.clip(depth)
     qN, qNm1 = 1, 0
     best_lo = best_hi = None
     for i in range(1, top + 1):

@@ -492,8 +492,7 @@ def cmd_cf(args) -> int:
     def compute():
         from .cfengine import convergents, expand
         cf = expand(source(), args.depth)
-        L = cf.finite_length()
-        top = min(args.depth, L) if L is not None else args.depth
+        top = cf.clip(args.depth)
         digs = cf.digits_upto(top)
         cv = convergents(cf, top)
         return {"input": key, "depth": args.depth, "tail": cf.tail,

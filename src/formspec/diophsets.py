@@ -195,10 +195,8 @@ def in_E_eta(x, rho, eta: Fraction, height: int) -> bool:
         Y += 1
     # convergents of x (and their integer multiples) cover the rest
     cf = expand(x, 64, digit_limit=None)
-    L = cf.finite_length()
-    top = min(64, L) if L is not None else 64
     prev_q = 0
-    for c in convergents(cf, top):
+    for c in convergents(cf, cf.clip(64)):
         if c.q > height:
             break
         if c.q == prev_q:
@@ -323,8 +321,7 @@ def cutting_density_estimate(prefix: Sequence[int], eta: Fraction,
     for j in range(samples):
         x = uniform_fraction(seed, j, iv)
         cf = expand(x, N + window + 1, digit_limit=None)
-        L = cf.finite_length()
-        top = min(N + window, L if L is not None else N + window)
+        top = cf.clip(N + window)
         cv = convergents(cf, top)
         ok = True
         for i in range(N, top):
@@ -344,9 +341,7 @@ def cutting_density_estimate(prefix: Sequence[int], eta: Fraction,
 def _value_digits(x, upto: int) -> List[int]:
     """Digits alpha_0 .. alpha_upto of x, fewer if the expansion ends."""
     cf = expand(x, upto, digit_limit=None)
-    L = cf.finite_length()
-    top = min(upto, L) if L is not None else upto
-    return cf.digits_upto(top)
+    return cf.digits_upto(cf.clip(upto))
 
 
 def _first_split(iv: RatInterval, upto: int = 200) -> Tuple[int, List[int]]:

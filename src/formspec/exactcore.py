@@ -16,6 +16,12 @@ Value types
                     field arithmetic, with exact floor and comparisons.
 ``FieldElement``    element of Q(theta) for a fixed generator theta, stored
                     by rational coordinates in the power basis.
+
+Two private primitives carry every exact decision built on these types:
+``_decide`` is the one "refine until decided" loop (probe an enclosure
+at geometrically shrinking widths until the probe answers), and
+``_echelon`` is the one exact elimination routine, with ``_det`` and
+``_solve`` on top of it.
 """
 
 from __future__ import annotations
@@ -123,6 +129,15 @@ class RatInterval:
             return -self
         return RatInterval(Fraction(0), max(-self.lo, self.hi))
 
+    def order(self, other: "RatInterval") -> Optional[int]:
+        """-1 or 1 when the intervals are disjoint (self below or above
+        other), else None."""
+        if self.hi < other.lo:
+            return -1
+        if other.hi < self.lo:
+            return 1
+        return None
+
     def sign(self) -> Optional[int]:
         """Definite sign of every point of the interval, or None."""
         if self.lo > 0:
@@ -135,6 +150,23 @@ class RatInterval:
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+def _decide(probe, width, shrink, rounds=None):
+    """First result of ``probe(w)`` that is not None, for w = width,
+    width/shrink, width/shrink^2, ...; None once ``rounds`` probes have
+    been made without a decision (never, when ``rounds`` is None).
+
+    ``False`` and ``0`` are decisions like any other value."""
+    w = width
+    n = 0
+    while rounds is None or n < rounds:
+        out = probe(w)
+        if out is not None:
+            return out
+        w = w / shrink
+        n += 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -552,27 +584,33 @@ class AlgebraicReal:
             raise ExactError("degenerate transform")
         q = q.squarefree_part()
         chain = sturm_chain(q)
-        width = RatInterval(self._lo, self._hi).width
-        while True:
+
+        def image(width):
             iv = self.enclosure(width)
             lo, hi = iv.lo, iv.hi
             dlo, dhi = c * lo + d, c * hi + d
-            if _sign(dlo) != 0 and _sign(dlo) == _sign(dhi):
-                u = (a * lo + b) / dlo
-                v = (a * hi + b) / dhi
-                if u > v:
-                    u, v = v, u
-                img = RatInterval(u, v)
-                if (q.eval(u) != 0 and q.eval(v) != 0
-                        and sturm_root_count(q, img, _chain=chain) == 1):
-                    return AlgebraicReal(q, img, _checked=True)
-            width = width / 4
+            if _sign(dlo) == 0 or _sign(dlo) != _sign(dhi):
+                return None  # the pole is not yet excluded
+            u = (a * lo + b) / dlo
+            v = (a * hi + b) / dhi
+            return _isolated(q, RatInterval(min(u, v), max(u, v)), chain)
+        return _decide(image, self._hi - self._lo, 4)
 
     def shift(self, s: Fraction) -> "AlgebraicReal":
         return self.mobius(1, s, 0, 1)
 
     def scale_by(self, s: Fraction) -> "AlgebraicReal":
         return self.mobius(s, 0, 0, 1)
+
+
+def _isolated(p: IntPolynomial, iv: RatInterval, chain=None
+              ) -> Optional[AlgebraicReal]:
+    """The root of ``p`` in ``iv`` when ``iv`` isolates exactly one root
+    and neither endpoint is a root, else None."""
+    if p.eval(iv.lo) != 0 and p.eval(iv.hi) != 0 \
+            and sturm_root_count(p, iv, _chain=chain) == 1:
+        return AlgebraicReal(p, iv, _checked=True)
+    return None
 
 
 def _poly_mul_frac(a: list, b: list) -> list:
@@ -702,23 +740,20 @@ def same_value(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     gchain = sturm_chain(g) if g.degree >= 1 else None
     wa = a.interval().width or Fraction(1)
     wb = b.interval().width or Fraction(1)
-    while True:
-        ia, ib = a.enclosure(wa), b.enclosure(wb)
-        j = ia.intersect(ib)
+
+    def verdict(s):
+        j = a.enclosure(wa * s).intersect(b.enclosure(wb * s))
         if j is None:
             return False
-        if g.degree < 1:
-            wa, wb = wa / 4, wb / 4
-            continue
-        if g.eval(j.lo) != 0 and g.eval(j.hi) != 0:
-            inner = sturm_root_count(g, j, _chain=gchain)
-            if inner >= 1 and ia.width <= wa and ib.width <= wb:
-                # both roots lie in j; the shared g-root in j equals each
-                ca = sturm_root_count(a.minpoly, j)
-                cb = sturm_root_count(b.minpoly, j)
-                if ca == 1 and cb == 1 and inner == 1:
-                    return True
-        wa, wb = wa / 4, wb / 4
+        # both values lie in j; if j isolates a single root of g, and a
+        # single root of each minimal polynomial, both equal that root
+        if g.degree >= 1 and g.eval(j.lo) != 0 and g.eval(j.hi) != 0 \
+                and sturm_root_count(g, j, _chain=gchain) == 1 \
+                and sturm_root_count(a.minpoly, j) == 1 \
+                and sturm_root_count(b.minpoly, j) == 1:
+            return True
+        return None
+    return _decide(verdict, Fraction(1), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -936,16 +971,17 @@ def algebraic_to_quadratic(a: AlgebraicReal) -> Optional[QuadraticReal]:
     if disc <= 0 or isqrt(disc) ** 2 == disc:
         return None
     ivl = a.interval()
+    w = ivl.width / 4 if ivl.width > 0 else Fraction(1, 16)
     for sgn in (1, -1):
         cand = QuadraticReal(-c1, sgn, disc, 2 * c2)
-        w = ivl.width / 4 if ivl.width > 0 else Fraction(1, 16)
-        while True:
+
+        def inside(w):
             civ = cand.enclosure(w)
-            if civ.lo > ivl.lo and civ.hi < ivl.hi:
-                return cand
-            if civ.hi < ivl.lo or civ.lo > ivl.hi:
-                break
-            w /= 16
+            if civ.order(ivl) is not None:
+                return False
+            return True if civ.lo > ivl.lo and civ.hi < ivl.hi else None
+        if _decide(inside, w, 16):
+            return cand
     return None
 
 
@@ -958,13 +994,9 @@ def quadratic_to_algebraic(v: QuadraticReal) -> AlgebraicReal:
     p, q, d, r = v.p, v.q, v.d, v.r
     poly = IntPolynomial([p * p - q * q * d, -2 * p * r, r * r]).primitive()
     poly = poly.squarefree_part()
-    width = Fraction(1, 4)
-    while True:
-        iv = v.enclosure(width)
-        if poly.eval(iv.lo) != 0 and poly.eval(iv.hi) != 0 \
-                and sturm_root_count(poly, iv) == 1:
-            return AlgebraicReal(poly, iv, _checked=True)
-        width /= 4
+    chain = sturm_chain(poly)
+    return _decide(lambda w: _isolated(poly, v.enclosure(w), chain),
+                   Fraction(1, 4), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,37 +1166,37 @@ class FieldElement:
             raise ExactError("value is irrational")
         return self.coords[0]
 
+    def _image(self, w: Fraction) -> RatInterval:
+        """Interval image of the generator's enclosure of width <= w."""
+        return _eval_frac_interval(self.coords, self.field.gen.enclosure(w))
+
+    def _gen_width(self) -> Fraction:
+        return self.field.gen.interval().width or Fraction(1, 4)
+
     def enclosure(self, width: Fraction) -> RatInterval:
         width = Fraction(width)
         if self.is_rational():
             v = self.coords[0]
             return RatInterval(v, v)
-        w = self.field.gen.interval().width or Fraction(1, 4)
-        while True:
-            giv = self.field.gen.enclosure(w)
-            out = _eval_frac_interval(list(self.coords), giv)
-            if out.width <= width:
-                return out
-            w /= 4
+
+        def narrow(w):
+            out = self._image(w)
+            return out if out.width <= width else None
+        return _decide(narrow, self._gen_width(), 4)
 
     def sign(self) -> int:
         if all(c == 0 for c in self.coords):
             return 0
-        w = self.field.gen.interval().width or Fraction(1, 4)
-        for _ in range(8):
-            out = _eval_frac_interval(list(self.coords), self.field.gen.enclosure(w))
-            s = out.sign()
-            if s is not None:
-                return s
-            w /= 16
+        w = self._gen_width()
+
+        def sign_at(w):
+            return self._image(w).sign()
+        s = _decide(sign_at, w, 16, rounds=8)
+        if s is not None:
+            return s
         if self.is_zero():
             return 0
-        while True:
-            w /= 16
-            out = _eval_frac_interval(list(self.coords), self.field.gen.enclosure(w))
-            s = out.sign()
-            if s is not None:
-                return s
+        return _decide(sign_at, w / 16 ** 9, 16)
 
     def compare(self, other) -> int:
         return (self - other).sign()
@@ -1175,17 +1207,18 @@ class FieldElement:
     def floor(self) -> int:
         if self.is_rational():
             return _mfloor(self.coords[0])
-        width = Fraction(1, 4)
-        while True:
+
+        def floor_at(width):
             iv = self.enclosure(width)
             flo, fhi = _mfloor(iv.lo), _mfloor(iv.hi)
             if flo == fhi:
                 return flo
-            if (self - Fraction(fhi)).is_zero():
+            if (self - fhi).is_zero():
                 return fhi
-            if (self - Fraction(fhi)).sign() < 0 and _mfloor(iv.lo) == fhi - 1:
+            if (self - fhi).sign() < 0 and flo == fhi - 1:
                 return fhi - 1
-            width /= 16
+            return None
+        return _decide(floor_at, Fraction(1, 4), 16)
 
     def __float__(self):
         return float(self.enclosure(Fraction(1, 2 ** 56)).mid)
@@ -1198,11 +1231,12 @@ class FieldElement:
         for _ in range(d + 1):
             rows.append(list(acc.coords))
             acc = acc * self
-        # find the first k with 1, v, ..., v^k linearly dependent
+        # find the first k with v^k in the span of 1, v, ..., v^(k-1)
         for k in range(1, d + 1):
-            sol = _solve_dependency(rows[: k + 1])
+            sol = _solve([[rows[i][j] for i in range(k)] for j in range(d)],
+                         [-c for c in rows[k]])
             if sol is not None:
-                return _from_frac_primitive(sol).squarefree_part()
+                return _from_frac_primitive(sol + [Fraction(1)]).squarefree_part()
         raise ExactError("no annihilating polynomial found")
 
     def as_algebraic(self) -> AlgebraicReal:
@@ -1212,13 +1246,8 @@ class FieldElement:
                                  RatInterval(x, x), _rational=x)
         poly = self.min_polynomial()
         chain = sturm_chain(poly)
-        width = Fraction(1, 16)
-        while True:
-            iv = self.enclosure(width)
-            if poly.eval(iv.lo) != 0 and poly.eval(iv.hi) != 0 and \
-                    sturm_root_count(poly, iv, _chain=chain) == 1:
-                return AlgebraicReal(poly, iv, _checked=True)
-            width /= 16
+        return _decide(lambda w: _isolated(poly, self.enclosure(w), chain),
+                       Fraction(1, 16), 16)
 
 
 def _poly_sub_frac(a: list, b: list) -> list:
@@ -1235,47 +1264,67 @@ def _eval_frac_interval(cs: list, iv: RatInterval) -> RatInterval:
     return acc
 
 
-def _solve_dependency(rows: list) -> Optional[list]:
-    """Nontrivial rational kernel vector of the row span, if the last row is
-    dependent on the previous ones; coefficients returned low-to-high."""
-    k = len(rows) - 1
-    # solve sum_{i<k} x_i rows[i] = -rows[k]  =>  rows[k] + sum x_i rows[i] = 0
-    n = len(rows[0])
-    mat = [[Fraction(rows[i][j]) for i in range(k)] for j in range(n)]
-    rhs = [-Fraction(rows[k][j]) for j in range(n)]
-    # gaussian elimination on n x k system
-    piv_rows = []
-    used = [False] * n
-    col_of = []
-    for col in range(k):
-        piv = None
-        for r in range(n):
-            if not used[r] and mat[r][col] != 0:
-                piv = r
-                break
+def _is_zero(x) -> bool:
+    return x == 0 if isinstance(x, (int, Fraction)) else x.is_zero()
+
+
+def _echelon(rows: list) -> tuple:
+    """Forward Gaussian elimination over exact scalars: Fractions, or
+    QuadraticReals or FieldElements of one field, mixed with Fractions.
+
+    Returns ``(rows, pivots, sign)``: the matrix in row echelon form, the
+    pivot column of each leading row, and the sign of the row permutation.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    sign = 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows))
+                    if not _is_zero(rows[r][col])), None)
         if piv is None:
-            col_of.append(None)
             continue
-        used[piv] = True
-        col_of.append(piv)
-        inv = 1 / mat[piv][col]
-        mat[piv] = [x * inv for x in mat[piv]]
-        rhs[piv] *= inv
-        for r in range(n):
-            if r != piv and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[piv])]
-                rhs[r] -= f * rhs[piv]
-    sol = [Fraction(0)] * k
-    for col in range(k):
-        if col_of[col] is not None:
-            sol[col] = rhs[col_of[col]]
-    # verify
-    for r in range(n):
-        acc = sum((sol[c] * Fraction(rows[c][r]) for c in range(k)), Fraction(0))
-        if acc != -Fraction(rows[k][r]):
-            return None
-    return sol + [Fraction(1)]
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            sign = -sign
+        pivot = rows[top][col]
+        inv = 1 / Fraction(pivot) if isinstance(pivot, (int, Fraction)) \
+            else pivot.inverse()
+        for r in range(top + 1, len(rows)):
+            if _is_zero(rows[r][col]):
+                continue
+            factor = rows[r][col] * inv
+            rows[r][col:] = [x - factor * y
+                             for x, y in zip(rows[r][col:], rows[top][col:])]
+        pivots.append(col)
+    return rows, pivots, sign
+
+
+def _det(rows: list):
+    """Exact determinant of a square matrix of scalars."""
+    ech, pivots, sign = _echelon(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    det = Fraction(sign)
+    for i, row in enumerate(ech):
+        det = row[i] * det
+    return det
+
+
+def _solve(a: list, b: list) -> Optional[list]:
+    """A solution x of ``a x = b`` (unknowns without a pivot set to 0), or
+    None when the system is inconsistent."""
+    n = len(a[0])
+    ech, pivots, _ = _echelon([list(r) + [v] for r, v in zip(a, b)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for row, col in reversed(list(zip(ech, pivots))):
+        acc = row[n]
+        for j in range(col + 1, n):
+            acc -= row[j] * x[j]
+        x[col] = acc / row[col]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple, Union
 
+from . import exactcore
 from .exactcore import (
     AlgebraicReal,
     ExactError,
@@ -26,6 +28,7 @@ from .exactcore import (
     NumberField,
     QuadraticReal,
     RatInterval,
+    _decide,
     isolate_real_roots,
     nth_root_interval,
     quadratic_to_algebraic,
@@ -119,14 +122,8 @@ def compare_scalars(a, b) -> int:
     aa, bb = scalar_to_algebraic(a), scalar_to_algebraic(b)
     if same_value(aa, bb):
         return 0
-    w = Fraction(1, 16)
-    while True:
-        ia, ib = aa.enclosure(w), bb.enclosure(w)
-        if ia.hi < ib.lo:
-            return -1
-        if ib.hi < ia.lo:
-            return 1
-        w /= 16
+    return _decide(lambda w: aa.enclosure(w).order(bb.enclosure(w)),
+                   Fraction(1, 16), 16)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +196,15 @@ class Mag:
     def enclosure(self, width: Fraction) -> RatInterval:
         if self.is_zero():
             return RatInterval(Fraction(0), Fraction(0))
-        w = Fraction(1, 64)
-        while True:
+
+        def narrow(w):
             iv = RatInterval(self.coeff, self.coeff)
             for f in self.factors:
                 iv = iv * scalar_enclosure(f, w).abs()
             if self.rad is not None:
                 iv = iv * sqrt_interval(self.rad, w)
-            if iv.width <= width:
-                return iv
-            w /= 16
+            return iv if iv.width <= width else None
+        return _decide(narrow, Fraction(1, 64), 16)
 
     def __float__(self):
         return float(self.enclosure(Fraction(1, 2 ** 48)).mid)
@@ -222,21 +218,13 @@ class Mag:
             return 1
         if self.is_rational() and other.is_rational():
             return (self.coeff > other.coeff) - (self.coeff < other.coeff)
-        w = Fraction(1, 2 ** 10)
-        for _ in range(40):
-            a = self.enclosure(w)
-            b = other.enclosure(w)
-            if a.hi < b.lo:
-                return -1
-            if b.hi < a.lo:
-                return 1
-            w /= 2 ** 8
-        return 0  # indistinguishable at 330+ bits: treat as equal
+        c = _decide(lambda w: self.enclosure(w).order(other.enclosure(w)),
+                    Fraction(1, 2 ** 10), 2 ** 8, rounds=40)
+        return 0 if c is None else c  # equal to 330+ bits: treated as equal
 
 
 def sqrt_exact(x: Fraction) -> Optional[Fraction]:
     """sqrt(x) if x is a perfect rational square, else None."""
-    from math import isqrt
     x = Fraction(x)
     if x < 0:
         return None
@@ -262,7 +250,7 @@ class Transform:
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
         self.a, self.b, self.c, self.d = a, b, c, d
-        det = _sc_sub(_sc_mul(a, d), _sc_mul(b, c))
+        det = a * d - b * c
         if scalar_is_rational(det):
             dv = scalar_as_fraction(det)
             if dv == 1:
@@ -294,16 +282,16 @@ class Transform:
                    for e, v in zip(self.entries(), (1, 0, 0, 1)))
 
     def __matmul__(self, other: "Transform") -> "Transform":
-        a = _sc_add(_sc_mul(self.a, other.a), _sc_mul(self.b, other.c))
-        b = _sc_add(_sc_mul(self.a, other.b), _sc_mul(self.b, other.d))
-        c = _sc_add(_sc_mul(self.c, other.a), _sc_mul(self.d, other.c))
-        d = _sc_add(_sc_mul(self.c, other.b), _sc_mul(self.d, other.d))
+        a = self.a * other.a + self.b * other.c
+        b = self.a * other.b + self.b * other.d
+        c = self.c * other.a + self.d * other.c
+        d = self.c * other.b + self.d * other.d
         return Transform(a, b, c, d)
 
     def inverse(self) -> "Transform":
         if self.det == 1:
-            return Transform(self.d, _sc_neg(self.b), _sc_neg(self.c), self.a)
-        return Transform(_sc_neg(self.d), self.b, self.c, _sc_neg(self.a))
+            return Transform(self.d, -self.b, -self.c, self.a)
+        return Transform(-self.d, self.b, self.c, -self.a)
 
     def apply(self, z):
         """Mobius image of an exact scalar or algebraic value."""
@@ -313,15 +301,12 @@ class Transform:
         if isinstance(z, AlgebraicReal):
             return z.mobius(Fraction(self.a), Fraction(self.b),
                             Fraction(self.c), Fraction(self.d))
-        num = _sc_add(_sc_mul(self.a, z), self.b)
-        den = _sc_add(_sc_mul(self.c, z), self.d)
-        return _sc_div(num, den)
+        return _sc_div(self.a * z + self.b, self.c * z + self.d)
 
     def max_entry_distance_to_identity(self, width: Fraction = Fraction(1, 2 ** 40)) -> RatInterval:
         best = RatInterval(Fraction(0), Fraction(0))
         for e, v in zip(self.entries(), (1, 0, 0, 1)):
-            diff = _sc_sub(e, Fraction(v))
-            iv = scalar_enclosure(diff, width).abs()
+            iv = scalar_enclosure(e - v, width).abs()
             best = RatInterval(max(best.lo, iv.lo), max(best.hi, iv.hi))
         return best
 
@@ -329,49 +314,13 @@ class Transform:
         return f"Transform({self.a}, {self.b}; {self.c}, {self.d})"
 
 
-def _sc_pair(a, b):
-    """Coerce int to Fraction; ensure compatible kinds for arithmetic."""
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(b, int):
-        b = Fraction(b)
-    return a, b
-
-
-def _sc_add(a, b):
-    a, b = _sc_pair(a, b)
-    if isinstance(a, Fraction) and not isinstance(b, Fraction):
-        return b + a
-    return a + b
-
-
-def _sc_mul(a, b):
-    a, b = _sc_pair(a, b)
-    if isinstance(a, Fraction) and not isinstance(b, Fraction):
-        return b * a
-    return a * b
-
-
-def _sc_sub(a, b):
-    a, b = _sc_pair(a, b)
-    if isinstance(a, Fraction) and not isinstance(b, Fraction):
-        return (-b) + a
-    return a - b
-
-
-def _sc_neg(a):
-    if isinstance(a, int):
-        a = Fraction(a)
-    return -a
-
-
 def _sc_div(a, b):
-    a, b = _sc_pair(a, b)
-    if isinstance(b, Fraction):
-        if isinstance(a, Fraction):
-            return a / b
-        return a * (1 / b)
-    return _sc_mul(a, b.inverse())
+    """a / b; a rational divisor is inverted as a Fraction, not in a field."""
+    if isinstance(b, (int, Fraction)):
+        if isinstance(a, (int, Fraction)):
+            return Fraction(a) / b
+        return a * (1 / Fraction(b))
+    return a * b.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +400,7 @@ class BinaryForm:
     def __eq__(self, other):
         if not isinstance(other, BinaryForm) or self.degree != other.degree:
             return False
-        return all(scalar_is_zero(_sc_sub(a, b))
+        return all(scalar_is_zero(a - b)
                    for a, b in zip(self.coeffs, other.coeffs))
 
     def __repr__(self):
@@ -469,8 +418,8 @@ class BinaryForm:
         for i in range(1, n + 1):
             ypows[i] = ypows[i - 1] * y
         for i, c in enumerate(self.coeffs):
-            term = _sc_mul(c, Fraction(xp * ypows[n - i]))
-            acc = term if acc is None else _sc_add(acc, term)
+            term = c * Fraction(xp * ypows[n - i])
+            acc = term if acc is None else acc + term
             xp *= x
         return acc
 
@@ -481,7 +430,7 @@ class BinaryForm:
         fracs = self.rational_coeffs()
         den = 1
         for f in fracs:
-            den = den * f.denominator // _gcd(den, f.denominator)
+            den = den * f.denominator // gcd(den, f.denominator)
         return [int(f * den) for f in fracs], den
 
     def abs_at(self, x: int, y: int) -> Mag:
@@ -491,7 +440,7 @@ class BinaryForm:
         k = Fraction(k)
         if k == 0:
             raise ExactError("zero scale")
-        return BinaryForm(self.degree, [_sc_mul(c, k) for c in self.coeffs],
+        return BinaryForm(self.degree, [c * k for c in self.coeffs],
                           factors=self.factors.scaled(k) if self.factors else None)
 
     def real_root_values(self) -> List[Scalar]:
@@ -508,11 +457,6 @@ class BinaryForm:
         """Attach exact, descending-sorted real root values (trusted)."""
         self._root_cache = list(roots)
         return self
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd as g
-    return g(a, b)
 
 
 def _rational_form_roots(f: BinaryForm) -> List[AlgebraicReal]:
@@ -551,7 +495,7 @@ class ProductForm:
             c = Fraction(c) if isinstance(c, int) else c
             if scalar_sign(a) <= 0:
                 raise ExactError("quadratic factor must have positive leading coefficient")
-            disc = _sc_sub(_sc_mul(b, b), _sc_mul(_sc_mul(a, c), Fraction(4)))
+            disc = b * b - a * c * 4
             if scalar_sign(disc) >= 0:
                 raise ExactError("quadratic factor is not positive definite")
             self.quads.append((a, b, c))
@@ -571,14 +515,11 @@ class ProductForm:
     def abs_at(self, x: int, y: int) -> Mag:
         out = Mag(abs(self.scale))
         for v in self.linear:
-            out = out.times(Mag.of(_sc_sub(Fraction(x), _sc_mul(v, Fraction(y)))))
+            out = out.times(Mag.of(x - v * y))
             if out.is_zero():
                 return out
         for (a, b, c) in self.quads:
-            val = _sc_add(_sc_add(_sc_mul(a, Fraction(x * x)),
-                                  _sc_mul(b, Fraction(x * y))),
-                          _sc_mul(c, Fraction(y * y)))
-            out = out.times(Mag.of(val))
+            out = out.times(Mag.of(a * (x * x) + b * (x * y) + c * (y * y)))
             if out.is_zero():
                 return out
         return out
@@ -595,8 +536,8 @@ class ProductForm:
         theta = Fraction(theta)
         if theta <= 0:
             raise ExactError("theta must be positive")
-        lin = [_sc_mul(v, theta) for v in self.linear]
-        quads = [(a, _sc_mul(b, theta), _sc_mul(c, theta * theta))
+        lin = [v * theta for v in self.linear]
+        quads = [(a, b * theta, c * (theta * theta))
                  for (a, b, c) in self.quads]
         return ProductForm(self.scale, lin, quads)
 
@@ -604,9 +545,9 @@ class ProductForm:
         """Expand into coefficients (requires a common field or rationals)."""
         coeffs = [self.scale]  # homogeneous coefficient list, x-degree indexed
         for v in self.linear:
-            nxt = [_sc_mul(_sc_neg(v), coeffs[0])]
+            nxt = [-v * coeffs[0]]
             for i in range(1, len(coeffs)):
-                nxt.append(_sc_sub(coeffs[i - 1], _sc_mul(v, coeffs[i])))
+                nxt.append(coeffs[i - 1] - v * coeffs[i])
             nxt.append(coeffs[-1])
             coeffs = nxt
         for (a, b, c) in self.quads:
@@ -615,11 +556,11 @@ class ProductForm:
             for i in range(deg + 3):
                 acc = Fraction(0)
                 if 0 <= i - 2 <= deg:
-                    acc = _sc_add(acc, _sc_mul(a, coeffs[i - 2]))
+                    acc = acc + a * coeffs[i - 2]
                 if 0 <= i - 1 <= deg:
-                    acc = _sc_add(acc, _sc_mul(b, coeffs[i - 1]))
+                    acc = acc + b * coeffs[i - 1]
                 if 0 <= i <= deg:
-                    acc = _sc_add(acc, _sc_mul(c, coeffs[i]))
+                    acc = acc + c * coeffs[i]
                 nxt[i] = acc
             coeffs = nxt
         return BinaryForm(self.degree, coeffs, factors=self)
@@ -637,11 +578,11 @@ def act(f: BinaryForm, T: Transform) -> BinaryForm:
     """Compose with T so that roots map by z -> (az + b)/(cz + d)."""
     a, b, c, d = T.entries()
     if T.det == 1:
-        alpha, beta = d, _sc_neg(b)     # new x = d*x - b*y
-        gamma, delta = _sc_neg(c), a    # new y = -c*x + a*y
+        alpha, beta = d, -b     # new x = d*x - b*y
+        gamma, delta = -c, a    # new y = -c*x + a*y
     else:
-        alpha, beta = _sc_neg(d), b
-        gamma, delta = c, _sc_neg(a)
+        alpha, beta = -d, b
+        gamma, delta = c, -a
     n = f.degree
     # powers of the two linear substitutions as x-degree-indexed vectors
     upows = [[Fraction(1)]]
@@ -655,7 +596,7 @@ def act(f: BinaryForm, T: Transform) -> BinaryForm:
             continue
         term = _vec_mul(upows[i], vpows[n - i])
         for j, t in enumerate(term):
-            out[j] = _sc_add(out[j], _sc_mul(coef, t))
+            out[j] = out[j] + coef * t
     return BinaryForm(n, out)
 
 
@@ -663,8 +604,8 @@ def _lin_mul(vec: list, alpha, beta) -> list:
     """Multiply an x-degree-indexed vector by (alpha*x + beta*y)."""
     out = [Fraction(0)] * (len(vec) + 1)
     for i, v in enumerate(vec):
-        out[i + 1] = _sc_add(out[i + 1], _sc_mul(v, alpha))
-        out[i] = _sc_add(out[i], _sc_mul(v, beta))
+        out[i + 1] = out[i + 1] + v * alpha
+        out[i] = out[i] + v * beta
     return out
 
 
@@ -674,7 +615,7 @@ def _vec_mul(a: list, b: list) -> list:
         if scalar_is_zero(x):
             continue
         for j, y in enumerate(b):
-            out[i + j] = _sc_add(out[i + j], _sc_mul(x, y))
+            out[i + j] = out[i + j] + x * y
     return out
 
 
@@ -697,11 +638,11 @@ def discriminant(f: BinaryForm):
                     return discriminant(sheared)
             raise ExactError("could not normalize the form")
     p = cs  # univariate P(z, 1), z-degree indexed
-    dp = [_sc_mul(c, Fraction(i)) for i, c in enumerate(p)][1:]
+    dp = [c * i for i, c in enumerate(p)][1:]
     res = _resultant(p, dp)
     lead = p[-1]
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return _sc_mul(_sc_div(res, lead), Fraction(sign))
+    return _sc_div(res, lead) * sign
 
 
 def cubic_discriminant(f: BinaryForm):
@@ -709,12 +650,8 @@ def cubic_discriminant(f: BinaryForm):
     if f.degree != 3:
         raise ExactError("cubic closed form needs degree 3")
     d, c, b, a = f.coeffs  # coeffs[i] multiplies x^i y^(3-i)
-    t1 = _sc_mul(_sc_mul(_sc_mul(a, b), _sc_mul(c, d)), Fraction(18))
-    t2 = _sc_mul(_sc_mul(_sc_mul(b, b), b), _sc_mul(d, Fraction(-4)))
-    t3 = _sc_mul(_sc_mul(b, b), _sc_mul(c, c))
-    t4 = _sc_mul(_sc_mul(a, _sc_mul(c, _sc_mul(c, c))), Fraction(-4))
-    t5 = _sc_mul(_sc_mul(a, a), _sc_mul(_sc_mul(d, d), Fraction(-27)))
-    return _sc_add(_sc_add(_sc_add(_sc_add(t1, t2), t3), t4), t5)
+    return (a * b * c * d * 18 - b * b * b * d * 4 + b * b * c * c
+            - a * c * c * c * 4 - a * a * d * d * 27)
 
 
 def _resultant(p: list, q: list):
@@ -738,37 +675,7 @@ def _resultant(p: list, q: list):
         for j, c in enumerate(reversed(q)):
             row[i + j] = c
         rows.append(row)
-    return _det(rows)
-
-
-def _det(rows: list):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not scalar_is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        det = _sc_mul(det, pivot)
-        inv = _sc_div(Fraction(1), pivot) if isinstance(pivot, Fraction) \
-            else pivot.inverse()
-        for r in range(col + 1, n):
-            factor = _sc_mul(rows[r][col], inv)
-            if scalar_is_zero(factor):
-                continue
-            for cc in range(col, n):
-                rows[r][cc] = _sc_sub(rows[r][cc], _sc_mul(factor, rows[col][cc]))
-    return _sc_mul(det, Fraction(sign))
+    return exactcore._det(rows)
 
 
 @dataclass

@@ -20,12 +20,12 @@ from fractions import Fraction
 from math import floor as _mfloor
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .cfengine import CFExpansion, convergents, expand
+from .cfengine import convergents, expand
 from .exactcore import (
     AlgebraicReal,
     ExactError,
     RatInterval,
-    algebraic_to_quadratic,
+    _eval_frac_interval,
 )
 from .forms import (
     BinaryForm,
@@ -35,8 +35,6 @@ from .forms import (
     scalar_enclosure,
     scalar_is_rational,
     scalar_is_zero,
-    _sc_mul,
-    _sc_sub,
 )
 
 DEFAULT_BOX = 100
@@ -198,14 +196,6 @@ def _box_min_generic(f: BinaryForm, T: int) -> Tuple[Mag, Tuple[int, int]]:
 # convergent candidates
 
 
-def _root_expansion(v, depth: int) -> CFExpansion:
-    if isinstance(v, AlgebraicReal):
-        q = algebraic_to_quadratic(v)
-        if q is not None:  # quadratic values get exact periodic tails
-            v = q
-    return expand(v, depth, digit_limit=None)
-
-
 def _root_pairs(v, depth: int
                 ) -> Tuple[List[Tuple[int, int]], List[int],
                            Optional[Tuple[int, ...]], bool]:
@@ -213,18 +203,16 @@ def _root_pairs(v, depth: int
     alpha_{depth+1}, periodic block (if any) and a finiteness flag for a
     real root value.
 
-    Degree-2 roots are expanded in closed quadratic form so the period is
-    detected; every other root uses the exact convergent engine of
-    ``cfengine``.  An expansion that ends early (rational value) yields
-    fewer pairs and digits.
+    ``expand`` gives degree-2 roots a periodic tail, so the period is
+    detected.  An expansion that ends early (rational value) yields fewer
+    pairs and digits.
     """
-    cf = _root_expansion(v, depth + 1)
-    L = cf.finite_length()
-    top = min(depth + 1, L) if L is not None else depth + 1
+    cf = expand(v, depth + 1, digit_limit=None)
+    top = cf.clip(depth + 1)
     digits = cf.digits_upto(top)
     pairs = [(c.p, c.q) for c in convergents(cf, min(depth, top))]
     blk = cf.period_block if cf.tail == "periodic" else None
-    return pairs, digits, blk, L is not None
+    return pairs, digits, blk, cf.tail == "finite"
 
 
 def convergent_candidates(f: FormLike, depth: int = DEFAULT_DEPTH
@@ -498,7 +486,7 @@ def _poly_abs_floor(coeffs: List[Fraction], lo: Fraction, hi: Fraction,
     best = None
     while stack:
         a, b, d = stack.pop()
-        iv = _eval_iv(coeffs, a, b)
+        iv = _eval_frac_interval(coeffs, RatInterval(a, b))
         alo, _ = _abs_bounds(iv.lo, iv.hi)
         if d >= depth:
             best = alo if best is None else min(best, alo)
@@ -509,14 +497,6 @@ def _poly_abs_floor(coeffs: List[Fraction], lo: Fraction, hi: Fraction,
         stack.append((a, m, d + 1))
         stack.append((m, b, d + 1))
     return best if best is not None else Fraction(0)
-
-
-def _eval_iv(coeffs: List[Fraction], a: Fraction, b: Fraction) -> RatInterval:
-    iv = RatInterval(a, b)
-    acc = RatInterval(Fraction(0), Fraction(0))
-    for c in reversed(coeffs):
-        acc = acc * iv + RatInterval(c, c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +515,7 @@ def m_rho(rho, n: int, depth: int = DEFAULT_DEPTH,
     if n < 2:
         raise ExactError("degree must be >= 2")
     cf = expand(rho, depth, digit_limit=None)
-    L = cf.finite_length()
-    top = min(depth, L) if L is not None else depth
-    cv = convergents(cf, top)
+    cv = convergents(cf, cf.clip(depth))
     best: Optional[Mag] = None
     best_idx: Optional[int] = None
     for c in cv:
@@ -567,8 +545,7 @@ def _approx_mag(rho, X: int, Y: int, n: int) -> Mag:
     if isinstance(rho, AlgebraicReal):
         diff = rho.mobius(Fraction(Y), Fraction(-X), Fraction(0), Fraction(1))
         return Mag.of(diff).scale(Fraction(Y) ** (n - 1))
-    diff = _sc_sub(_sc_mul(rho, Fraction(Y)), Fraction(X))
-    return Mag.of(diff).scale(Fraction(Y) ** (n - 1))
+    return Mag.of(rho * Y - X).scale(Fraction(Y) ** (n - 1))
 
 
 def _nearest_int(rho, Y: int) -> int:

@@ -25,8 +25,12 @@ from .exactcore import (
     NumberField,
     QuadraticReal,
     RatInterval,
+    _decide,
+    _eval_frac_interval,
+    _solve,
     isolate_real_roots,
     same_value,
+    sqrt_interval,
 )
 from .forms import (
     BinaryForm,
@@ -38,9 +42,7 @@ from .forms import (
     scalar_enclosure,
     scalar_is_rational,
     scalar_as_fraction,
-    _sc_add,
-    _sc_mul,
-    _sc_sub,
+    sqrt_exact,
 )
 from .minima import MinResult, m_estimate
 from .diophsets import uniform_fraction
@@ -74,9 +76,8 @@ def neg_disc_family(t: Fraction) -> BinaryForm:
         raise ExactError("parameter must be >= 0")
     K, g = _mordell_negative_field()
     s = 1 + t * t
-    quad = (K.rational(1), g, _sc_add(_sc_mul(_sc_mul(g, g), Fraction(1, 4)),
-                                      _sc_mul(_sc_sub(_sc_mul(_sc_mul(g, g), Fraction(3, 4)),
-                                                      Fraction(1)), s)))
+    quad = (K.rational(1), g,
+            g * g * Fraction(1, 4) + (g * g * Fraction(3, 4) - 1) * s)
     pf = ProductForm(Fraction(1), [g], [quad])
     return pf.as_binary_form()
 
@@ -146,7 +147,7 @@ def diagonal_form(f: BinaryForm, theta: Fraction,
     if isinstance(f, ProductForm):
         return f.diagonal_scaled(theta)
     n = f.degree
-    coeffs = [_sc_mul(ci, theta ** (n - i)) for i, ci in enumerate(f.coeffs)]
+    coeffs = [ci * theta ** (n - i) for i, ci in enumerate(f.coeffs)]
     backing = f.factors.diagonal_scaled(theta) if f.factors is not None else None
     g = BinaryForm(n, coeffs, factors=backing)
     if backing is None and base_roots is not None:
@@ -166,15 +167,10 @@ def diagonal_prefactor(theta: Fraction, n: int) -> Mag:
     """theta^(-n/2) as an exact magnitude."""
     theta = Fraction(theta)
     v = theta ** (-n)
-    r = _exact_sqrt(v)
+    r = sqrt_exact(v)
     if r is not None:
         return Mag(r)
     return Mag(Fraction(1), (), rad=v)
-
-
-def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
-    from .forms import sqrt_exact
-    return sqrt_exact(x)
 
 
 @dataclass
@@ -293,20 +289,30 @@ def _coeff_scale(f: BinaryForm) -> Fraction:
     return best
 
 
-def _lt_dist(value, target: Fraction, bound: Fraction, tries: int = 30) -> bool:
-    """|value - target| < bound with value an exact scalar (refined
-    enclosures; borderline undecided counts as False)."""
-    w = Fraction(1, 2 ** 30)
-    for _ in range(tries):
-        e = scalar_enclosure(value, w)
+def _dist_below(enclose, target: Fraction, bound: Fraction):
+    """Probe for ``_decide``: whether every point of the enclosure
+    ``enclose(w)`` lies within ``bound`` of ``target`` (True), none does
+    (False), or neither is known yet (None, also when ``enclose`` gives
+    None)."""
+    def probe(w):
+        e = enclose(w)
+        if e is None:
+            return None
         d_lo = max(Fraction(0), max(e.lo - target, target - e.hi))
         d_hi = max(abs(e.lo - target), abs(e.hi - target))
         if d_hi < bound:
             return True
         if d_lo >= bound:
             return False
-        w /= 2 ** 8
-    return False
+        return None
+    return probe
+
+
+def _lt_dist(value, target: Fraction, bound: Fraction, tries: int = 30) -> bool:
+    """|value - target| < bound with value an exact scalar (refined
+    enclosures; borderline undecided counts as False)."""
+    probe = _dist_below(lambda w: scalar_enclosure(value, w), target, bound)
+    return bool(_decide(probe, Fraction(1, 2 ** 30), 2 ** 8, tries))
 
 
 def classify_sweep_point(f: BinaryForm, theta: Fraction, res: MinResult,
@@ -325,7 +331,7 @@ def classify_sweep_point(f: BinaryForm, theta: Fraction, res: MinResult,
     # Case 2: y_c > Q_N^(5/4) / mhat  <=>  (mhat y_c)^4 > Q_N^5
     if (num * y_c) ** 4 > (den ** 4) * QN ** 5:
         for v in roots:
-            if _lt_dist(_sc_mul(v, theta), t, mhat / y_c ** n):
+            if _lt_dist(_scale_scalar(v, theta), t, mhat / y_c ** n):
                 return CASE2
     # Case 3: y_c < mhat Q_N^(5/7)  <=>  (den y_c)^7 < num^7 Q_N^5
     if (den * y_c) ** 7 < num ** 7 * QN ** 5:
@@ -361,21 +367,15 @@ def _frac_pow_54(m: int) -> Fraction:
 def _lt_dist_ratio(v, rho1, scalefrac: Fraction, t: Fraction,
                    bound: Fraction, tries: int = 16) -> bool:
     """|t - (v / rho1) * scalefrac| < bound via refined enclosures."""
-    w = Fraction(1, 2 ** 40)
-    for _ in range(tries):
+    def ratio(w):
         ev = scalar_enclosure(v, w)
         er = scalar_enclosure(rho1, w)
-        if er.lo > 0 or er.hi < 0:
-            cands = (ev.lo / er.lo, ev.lo / er.hi, ev.hi / er.lo, ev.hi / er.hi)
-            riv = RatInterval(min(cands), max(cands)).scale(scalefrac)
-            d_lo = max(Fraction(0), max(riv.lo - t, t - riv.hi))
-            d_hi = max(abs(riv.lo - t), abs(riv.hi - t))
-            if d_hi < bound:
-                return True
-            if d_lo >= bound:
-                return False
-        w /= 2 ** 8
-    return False
+        if er.lo <= 0 <= er.hi:
+            return None
+        cands = (ev.lo / er.lo, ev.lo / er.hi, ev.hi / er.lo, ev.hi / er.hi)
+        return RatInterval(min(cands), max(cands)).scale(scalefrac)
+    probe = _dist_below(ratio, t, bound)
+    return bool(_decide(probe, Fraction(1, 2 ** 40), 2 ** 8, tries))
 
 
 def _dyadic_window(window: RatInterval) -> Tuple[RatInterval, int]:
@@ -580,7 +580,6 @@ def _field_sqrt(D: FieldElement) -> Optional[FieldElement]:
         return None
     w = Fraction(1, 2 ** 120)
     xs = [e.enclosure(w).mid for e in embeddings]
-    from .exactcore import _eval_frac_interval, sqrt_interval
     imgs = []
     for e in embeddings:
         iv = _eval_frac_interval(list(D.coords), e.enclosure(w))
@@ -590,7 +589,7 @@ def _field_sqrt(D: FieldElement) -> Optional[FieldElement]:
     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
         ys = [sg * sqrt_interval(v, Fraction(1, 2 ** 100)).mid
               for sg, v in zip(signs, imgs)]
-        coords = _solve_vandermonde(xs, ys)
+        coords = _solve([[x ** j for j in range(len(xs))] for x in xs], ys)
         if coords is None:
             continue
         coords = [_round_frac(c, 48) for c in coords]
@@ -598,23 +597,6 @@ def _field_sqrt(D: FieldElement) -> Optional[FieldElement]:
         if (s * s - D).is_zero():
             return s
     return None
-
-
-def _solve_vandermonde(xs: List[Fraction], ys: List[Fraction]) -> Optional[List[Fraction]]:
-    n = len(xs)
-    mat = [[xs[i] ** j for j in range(n)] + [ys[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                fac = mat[r][col]
-                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][n] for i in range(n)]
 
 
 def _round_frac(x: Fraction, bits: int) -> Fraction:
@@ -814,9 +796,7 @@ def _min_root_rational_gap(g, depth: int, cap: int) -> Fraction:
         if scalar_is_rational(v):
             return Fraction(0)
         cf = expand(v, depth, digit_limit=None)
-        L = cf.finite_length()
-        top = min(depth, L) if L is not None else depth
-        for c in convergents(cf, top):
+        for c in convergents(cf, cf.clip(depth)):
             if c.q > cap:
                 break
             e = scalar_enclosure(v, Fraction(1, 2 ** 60))

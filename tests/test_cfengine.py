@@ -49,6 +49,17 @@ class TestExpand:
         assert cf.digits_upto(12) == [1] * 13
         assert cf.tail == "periodic" and cf.period_block == (1,)
 
+    def test_quadratic_root_is_periodic(self):
+        root = isolate_real_roots(IntPolynomial([-7, 0, 1]))[-1]  # sqrt 7
+        cf = expand(root, 8)
+        assert cf.tail == "periodic" and cf.period_block == (1, 1, 1, 4)
+        assert cf.digits_upto(8) == [2, 1, 1, 1, 4, 1, 1, 1, 4]
+
+    def test_clip(self):
+        cf = expand(F(355, 113), 10)
+        assert cf.clip(10) == 2 and cf.clip(1) == 1
+        assert expand(PHI, 5).clip(40) == 40
+
     def test_cubic_against_decimal_oracle(self):
         # independent 200-digit floor-and-invert oracle on the largest real
         # root of each polynomial (coefficients from x^0 up), by Newton

@@ -1,9 +1,12 @@
 import json
 import os
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import formspec
 from formspec.cli import main
 
 
@@ -117,6 +120,16 @@ class TestCf:
         assert payload["digits"] == [3, 7, 16]
         assert payload["tail"] == "finite"
 
+    def test_sqrt7_period(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "--format", "json", "cf", "--poly",
+                           "1 0 -7", "--depth", "8",
+                           "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tail"] == "periodic"
+        assert payload["period"] == [1, 1, 1, 4]
+        assert payload["digits"] == [2, 1, 1, 1, 4, 1, 1, 1, 4]
+
     def test_needs_source(self, capsys, tmp_path):
         code, _, _ = run(capsys, "cf", "--depth", "5",
                          "--cache", str(tmp_path / "c.jsonl"))
@@ -198,3 +211,10 @@ class TestSweepProfileCli:
                          "--eps", "1/4", "--budget", "2", "--depth", "12",
                          "--cache", str(tmp_path / "c.jsonl"))
         assert code == 4
+
+
+def test_version_matches_pyproject():
+    # tomllib is missing on Python 3.10: read the field with a regex
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    m = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert m is not None and m.group(1) == formspec.__version__

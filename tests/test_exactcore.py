@@ -13,6 +13,9 @@ from formspec.exactcore import (
     NumberField,
     QuadraticReal,
     RatInterval,
+    _decide,
+    _det,
+    _solve,
     algebraic_to_quadratic,
     compare,
     isolate_real_roots,
@@ -27,6 +30,60 @@ from formspec.exactcore import (
 
 X2M2 = IntPolynomial([-2, 0, 1])          # x^2 - 2
 CUBIC = IntPolynomial([-1, -2, 1, 1])     # x^3 + x^2 - 2x - 1
+
+
+class TestDecide:
+    def test_widths_probed_in_order(self):
+        seen = []
+
+        def probe(w):
+            seen.append(w)
+            return "done" if len(seen) == 4 else None
+        assert _decide(probe, F(1, 2), 4) == "done"
+        assert seen == [F(1, 2), F(1, 8), F(1, 32), F(1, 128)]
+
+    def test_false_and_zero_are_decisions(self):
+        for answer in (False, 0):
+            calls = []
+
+            def probe(w):
+                calls.append(w)
+                return answer
+            out = _decide(probe, F(1), 16, rounds=3)
+            assert out is answer and calls == [F(1)]
+
+    def test_gives_up_after_rounds(self):
+        calls = []
+
+        def probe(w):
+            calls.append(w)
+            return None
+        assert _decide(probe, F(1), 2, rounds=5) is None
+        assert calls == [F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
+
+    def test_interval_order(self):
+        a, b = RatInterval(0, 1), RatInterval(2, 3)
+        assert a.order(b) == -1 and b.order(a) == 1
+        assert a.order(RatInterval(1, 2)) is None
+
+
+class TestElimination:
+    def test_det_with_row_swaps(self):
+        rows = [[F(0), F(2), F(1)], [F(1), F(1), F(0)], [F(2), F(0), F(3)]]
+        # expansion along the first row: -2*(3 - 0) + 1*(0 - 2) = -8
+        assert _det(rows) == -8
+        assert _det([[F(1), F(2)], [F(2), F(4)]]) == 0
+
+    def test_solve_unique_and_inconsistent(self):
+        a = [[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]]
+        assert _solve(a, [F(3), F(1), F(4)]) == [F(2), F(1)]
+        assert _solve(a, [F(3), F(1), F(5)]) is None
+
+    def test_det_over_number_field(self):
+        K = NumberField(isolate_real_roots(CUBIC)[-1])
+        g = K.generator()
+        d = _det([[g, K.rational(1)], [K.rational(2), g]])
+        assert (d - (g * g - 2)).is_zero()
 
 
 class TestSturmCount:

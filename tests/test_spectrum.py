@@ -25,6 +25,7 @@ from formspec.spectrum import (
     DiagonalInterval,
     MarkoffTriple,
     SweepConfig,
+    classify_sweep_point,
     crossing_tent_path,
     diagonal_form,
     diagonal_interval,
@@ -68,6 +69,12 @@ class TestNegDiscFamily:
             if (x, y) == (0, 0):
                 continue
             assert f1.abs_at(x, y).compare(f0.abs_at(x, y)) >= 0
+
+    @pytest.mark.parametrize("t", [F(1, 3), F(5, 7)])
+    def test_field_discriminant_matches_closed_form(self, t):
+        # resultant elimination over Q(r) against the cubic closed form
+        f = neg_disc_family(t)
+        assert (discriminant(f) - cubic_discriminant(f)).is_zero()
 
     def test_discriminant_strictly_grows(self):
         from formspec.forms import scalar_enclosure
@@ -166,6 +173,17 @@ class TestSweep:
             again = g.abs_at(x, y).times(diagonal_prefactor(p.theta, 3))
             iv = again.enclosure(F(1, 2 ** 50))
             assert iv.lo <= p.spec_value.hi and p.spec_value.lo <= iv.hi
+
+    def test_deep_case_on_isolated_roots(self):
+        # the roots of a rational form are AlgebraicReals: Case 2 scales
+        # them by theta with an exact Mobius map
+        from formspec.minima import MinResult
+        theta = F(501211, 500000)  # theta * rho_1 is within 1e-6 of 5/4
+        res = MinResult(Mag(F(1)), (125, 100), 60, 10, False, "")
+        di = diagonal_interval(MORDELL_POS, 2)
+        case = classify_sweep_point(MORDELL_POS, theta, res, di,
+                                    MORDELL_POS.real_root_values(), F(4))
+        assert case == "Case2_deep"
 
     def test_seed_reproducible(self):
         a = sweep(SweepConfig(MORDELL_POS, 10, 10, seed=5))[1]
