@@ -386,14 +386,17 @@ def _sturm_var_at(chain: list, x: Fraction) -> int:
 
 
 def sturm_root_count(p: IntPolynomial, iv: RatInterval, _chain=None) -> int:
-    """Exact number of real roots of squarefree ``p`` in ``(iv.lo, iv.hi]``."""
+    """Exact number of real roots of squarefree ``p`` in ``(iv.lo, iv.hi]``.
+
+    ``_chain`` is ``sturm_chain(p)`` when the caller already has it.  The
+    chain ends in gcd(p, p'), so p is squarefree iff that is a constant."""
     if p.is_zero():
         raise ExactError("zero polynomial")
-    if not p.is_squarefree():
+    chain = _chain if _chain is not None else sturm_chain(p)
+    if len(chain[-1]) > 1:
         raise ExactError("polynomial is not squarefree")
     if p.degree == 0:
         return 0
-    chain = _chain if _chain is not None else sturm_chain(p)
     return _sturm_var_at(chain, iv.lo) - _sturm_var_at(chain, iv.hi)
 
 

@@ -126,6 +126,31 @@ def compare_scalars(a, b) -> int:
                    Fraction(1, 16), 16)
 
 
+class Offset:
+    """The nonzero exact value ``base - t`` of an exact scalar ``base`` and
+    a rational ``t``.
+
+    The sign is decided once, by one exact cut of ``base`` at ``t``;
+    enclosures shift the base's own enclosure, so refining an offset
+    refines the shared base and builds no new polynomial.
+    """
+
+    __slots__ = ("base", "t", "_sign")
+
+    def __init__(self, base, t: Fraction, sign: Optional[int] = None):
+        self.base = base
+        self.t = Fraction(t)
+        self._sign = compare_scalars(base, self.t) if sign is None else sign
+        if self._sign == 0:
+            raise ExactError("offset is zero")
+
+    def sign(self) -> int:
+        return self._sign
+
+    def enclosure(self, width: Fraction) -> RatInterval:
+        return scalar_enclosure(self.base, width).shift(-self.t)
+
+
 # ---------------------------------------------------------------------------
 # exact magnitudes
 
@@ -133,10 +158,12 @@ def compare_scalars(a, b) -> int:
 class Mag:
     """Exact nonnegative magnitude ``coeff * prod |factor_i| * sqrt(rad)``.
 
-    ``coeff`` is a nonnegative rational, factors are exact nonzero scalars,
-    ``rad`` an optional positive rational under a square root.  Enclosures
-    refine on demand; comparisons are decided by refinement with exact
-    rational fast paths.
+    ``coeff`` is a nonnegative rational, factors are exact nonzero scalars
+    or :class:`Offset` values, ``rad`` an optional positive rational under
+    a square root.  Enclosures refine on demand.  Two magnitudes that are
+    each rational or ``coeff * |Offset|`` of one shared base are both
+    ``k * base + m`` exactly, so their comparison is a single exact cut of
+    the base; every other comparison is decided by refinement.
     """
 
     __slots__ = ("coeff", "factors", "rad")
@@ -218,9 +245,31 @@ class Mag:
             return 1
         if self.is_rational() and other.is_rational():
             return (self.coeff > other.coeff) - (self.coeff < other.coeff)
+        a, b = self._affine(), other._affine()
+        if a is not None and b is not None \
+                and (a[0] is None or b[0] is None or a[0] is b[0]):
+            # self - other = K * base + M exactly
+            base = b[0] if a[0] is None else a[0]
+            K, M = a[1] - b[1], a[2] - b[2]
+            if K == 0:
+                return (M > 0) - (M < 0)
+            return (1 if K > 0 else -1) * compare_scalars(base, -M / K)
         c = _decide(lambda w: self.enclosure(w).order(other.enclosure(w)),
                     Fraction(1, 2 ** 10), 2 ** 8, rounds=40)
         return 0 if c is None else c  # equal to 330+ bits: treated as equal
+
+    def _affine(self):
+        """(base, k, m) with self == k * base + m exactly (base None for a
+        rational magnitude), or None when self has no such form."""
+        if self.rad is not None or len(self.factors) > 1:
+            return None
+        if not self.factors:
+            return None, Fraction(0), self.coeff
+        f = self.factors[0]
+        if not isinstance(f, Offset):
+            return None
+        k = self.coeff if f.sign() > 0 else -self.coeff
+        return f.base, k, -k * f.t
 
 
 def sqrt_exact(x: Fraction) -> Optional[Fraction]:

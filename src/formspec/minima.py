@@ -10,7 +10,10 @@ for eventually periodic expansions or by explicit caller assumption).
 
 ``m_rho`` is the root-level quantity: the degree-weighted approximation
 minimum min over Y of Y^(n-1) |Y rho - X|, reduced to convergents by the
-best-approximation property and truncated at a convergent depth.
+best-approximation property and truncated at a convergent depth.  Each
+candidate is Y^n |rho - X/Y|, an :class:`~formspec.forms.Offset` of rho
+itself, so comparing two candidates of the same root is a single exact
+cut of rho and no candidate builds a polynomial of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .cfengine import convergents, expand
 from .exactcore import (
-    AlgebraicReal,
     ExactError,
     RatInterval,
     _eval_frac_interval,
@@ -30,8 +32,10 @@ from .exactcore import (
 from .forms import (
     BinaryForm,
     Mag,
+    Offset,
     ProductForm,
     compare_scalars,
+    scalar_as_fraction,
     scalar_enclosure,
     scalar_is_rational,
     scalar_is_zero,
@@ -537,22 +541,17 @@ def m_rho(rho, n: int, depth: int = DEFAULT_DEPTH,
 
 
 def _approx_mag(rho, X: int, Y: int, n: int) -> Mag:
-    if isinstance(rho, int):
-        rho = Fraction(rho)
-    if isinstance(rho, Fraction):
-        diff = abs(Y * rho - X)
+    """Y^(n-1) |Y rho - X| = Y^n |rho - X/Y|, an offset of rho itself."""
+    if scalar_is_rational(rho):
+        diff = abs(Y * scalar_as_fraction(rho) - X)
         return Mag(diff * Fraction(Y) ** (n - 1))
-    if isinstance(rho, AlgebraicReal):
-        diff = rho.mobius(Fraction(Y), Fraction(-X), Fraction(0), Fraction(1))
-        return Mag.of(diff).scale(Fraction(Y) ** (n - 1))
-    return Mag.of(rho * Y - X).scale(Fraction(Y) ** (n - 1))
+    t = Fraction(X, Y)
+    sign = compare_scalars(rho, t)
+    if sign == 0:
+        return Mag(Fraction(0))
+    return Mag(Fraction(Y) ** n, (Offset(rho, t, sign),))
 
 
 def _nearest_int(rho, Y: int) -> int:
-    if isinstance(rho, int):
-        return rho * Y
-    if isinstance(rho, Fraction):
-        return int(_mfloor(rho * Y + Fraction(1, 2)))
-    iv = scalar_enclosure(rho, Fraction(1, 4 * Y * Y)) if not isinstance(rho, AlgebraicReal) \
-        else rho.enclosure(Fraction(1, 4 * Y * Y))
+    iv = scalar_enclosure(rho, Fraction(1, 4 * Y * Y))
     return int(_mfloor(iv.mid * Y + Fraction(1, 2)))

@@ -24,6 +24,7 @@ from formspec.exactcore import (
     refine,
     same_value,
     sqrt_interval,
+    sturm_chain,
     sturm_root_count,
 )
 
@@ -104,6 +105,17 @@ class TestSturmCount:
         sq = IntPolynomial([0, 0, 1])  # x^2
         with pytest.raises(ExactError):
             sturm_root_count(sq, RatInterval(-1, 1))
+        with pytest.raises(ExactError):
+            sturm_root_count(sq, RatInterval(-1, 1), _chain=sturm_chain(sq))
+        nsf = IntPolynomial([-2, 1]) * IntPolynomial([1, 0, 1]) \
+            * IntPolynomial([1, 0, 1])  # (x - 2)(x^2 + 1)^2, no real repeat
+        with pytest.raises(ExactError):
+            sturm_root_count(nsf, RatInterval(0, 3))
+        with pytest.raises(ExactError):
+            sturm_root_count(nsf, RatInterval(0, 3), _chain=sturm_chain(nsf))
+        sf = IntPolynomial([-2, 0, 1])
+        assert sturm_root_count(sf, RatInterval(0, 2),
+                                _chain=sturm_chain(sf)) == 1
 
 
 class TestIsolation:

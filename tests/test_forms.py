@@ -14,6 +14,7 @@ from formspec.exactcore import (
 from formspec.forms import (
     BinaryForm,
     Mag,
+    Offset,
     ProductForm,
     Transform,
     act,
@@ -228,6 +229,36 @@ class TestMag:
         iv = m.enclosure(F(1, 10 ** 9))
         assert iv.width <= F(1, 10 ** 9)
         assert (iv.lo / 2) ** 2 <= 2 <= (iv.hi / 2) ** 2
+
+    def test_same_root_offsets_are_exact(self):
+        # rho = largest root of x^3 + x^2 - 2x - 1, about 1.247
+        rho = isolate_real_roots(IntPolynomial([-1, -2, 1, 1]))[-1]
+        near = Mag(1, (Offset(rho, 1),))
+        # 2^-400 apart: beyond the 40 refinement rounds of the general path
+        assert near.compare(Mag(1, (Offset(rho, 1 - F(1, 2 ** 400)),))) == -1
+        assert Mag(1, (Offset(rho, 1 - F(1, 2 ** 400)),)).compare(near) == 1
+        assert near.compare(Mag(1, (Offset(rho, 1),))) == 0
+        assert Mag(2, (Offset(rho, 2),)).compare(
+            Mag(1, (Offset(rho, 2),)).scale(2)) == 0
+
+    def test_rational_against_offset_on_both_sides(self):
+        rho = isolate_real_roots(IntPolynomial([-1, -2, 1, 1]))[-1]
+        iv = isolate_real_roots(IntPolynomial([-1, -2, 1, 1]))[-1] \
+            .enclosure(F(1, 2 ** 300))
+        for t, coeff in ((F(1), F(1)), (F(2), F(3, 7)), (F(-5, 3), F(9))):
+            off = Offset(rho, t)
+            mag = Mag(coeff, (off,))
+            exact_lo = coeff * abs(iv.lo - t)
+            exact_hi = coeff * abs(iv.hi - t)
+            below = Mag(min(exact_lo, exact_hi) - F(1, 2 ** 290))
+            above = Mag(max(exact_lo, exact_hi) + F(1, 2 ** 290))
+            assert off.sign() == (1 if t < iv.lo else -1)
+            assert mag.compare(below) == 1 and below.compare(mag) == -1
+            assert mag.compare(above) == -1 and above.compare(mag) == 1
+
+    def test_zero_offset_rejected(self):
+        with pytest.raises(ExactError):
+            Offset(F(1, 3), F(1, 3))
 
     def test_zero_absorbs(self):
         assert Mag(F(0)).times(Mag(F(5))).is_zero()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import floor
 
 import pytest
 
@@ -7,9 +8,10 @@ from formspec.exactcore import (
     IntPolynomial,
     NumberField,
     QuadraticReal,
+    RatInterval,
     isolate_real_roots,
 )
-from formspec.cfengine import expand
+from formspec.cfengine import convergents, expand
 from formspec.forms import BinaryForm, Mag, ProductForm, Transform, act
 from formspec.minima import (
     brute_force_min,
@@ -168,6 +170,34 @@ class TestMRho:
         a = m_rho(rho, 3, 10)
         b = m_rho(rho, 3, 25)
         assert b.value.lo <= a.value.hi
+
+
+def _brute_m_rho(rho, n: int, qmax: int) -> RatInterval:
+    """Enclosure of min over 1 <= Y <= qmax, X in {floor(Y rho), ceil(Y rho)}
+    of Y^(n-1) |Y rho - X|, by plain interval arithmetic on rho."""
+    iv = rho.enclosure(F(1, 2 ** 200))
+    lo = hi = None
+    for Y in range(1, qmax + 1):
+        X = floor(Y * iv.lo)
+        assert floor(Y * iv.hi) == X
+        for XX in (X, X + 1):
+            d = iv.scale(Y).shift(-XX).abs().scale(F(Y) ** (n - 1))
+            lo = d.lo if lo is None else min(lo, d.lo)
+            hi = d.hi if hi is None else min(hi, d.hi)
+    return RatInterval(lo, hi)
+
+
+class TestMRhoBruteForce:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("which,depth", [("cubic", 6), ("phi", 8)])
+    def test_contains_brute_minimum(self, which, depth, n):
+        rho = (isolate_real_roots(IntPolynomial([-1, -2, 1, 1]))[-1]
+               if which == "cubic" else PHI)
+        r = m_rho(rho, n, depth)
+        cf = expand(rho, depth, digit_limit=None)
+        qmax = convergents(cf, depth)[depth].q
+        brute = _brute_m_rho(rho, n, qmax)
+        assert r.value.contains_interval(brute)
 
 
 class TestProductFormMinima:
