@@ -11,4 +11,4 @@ Subpackages by concern:
 ``cli``         command-line surface with a reproducible result cache
 """
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"

@@ -637,13 +637,25 @@ def build_parser(cfg: dict) -> argparse.ArgumentParser:
     return ap
 
 
+_PARSERS: dict = {}
+
+
+def _parser_for(cfg: dict) -> argparse.ArgumentParser:
+    """The parser for ``cfg``, built once per distinct configuration."""
+    key = json.dumps(cfg, sort_keys=True)
+    ap = _PARSERS.get(key)
+    if ap is None:
+        ap = _PARSERS[key] = build_parser(cfg)
+    return ap
+
+
 def main(argv=None) -> int:
     try:
         cfg = load_config()
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    ap = build_parser(cfg)
+    ap = _parser_for(cfg)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

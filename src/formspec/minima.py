@@ -2,11 +2,16 @@
 
 ``m_estimate`` computes min over nonzero integer vectors of |P| as the
 minimum of two exhaustive candidate families: all points in a box, and the
-continued-fraction convergents of every real root.  The result is exact on
-the candidate set; the ``certified`` flag is set only when a chain of
-rigorous inequalities shows no point outside the candidate set can do
-better (which needs a permanent digit bound for every real root, available
-for eventually periodic expansions or by explicit caller assumption).
+continued-fraction convergents of every real root.  For rational forms the
+box minimum is searched at the critical points of each row (the integers
+next to the real roots of P(t, 1) and of its derivative, scaled by y)
+rather than at every point.  The result is exact on the candidate set; the
+``certified`` flag is set only when a chain of rigorous inequalities shows
+no point outside the candidate set can do better (which needs a permanent
+digit bound for every real root, available for eventually periodic
+expansions or by explicit caller assumption).  Anisotropic forms are
+certified by a floor of |P| on the unit square boundary, taken at the
+edge corners and at the critical points of the edge polynomials.
 
 ``m_rho`` is the root-level quantity: the degree-weighted approximation
 minimum min over Y of Y^(n-1) |Y rho - X|, reduced to convergents by the
@@ -26,8 +31,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .cfengine import convergents, expand
 from .exactcore import (
     ExactError,
+    IntPolynomial,
     RatInterval,
+    _decide,
     _eval_frac_interval,
+    isolate_real_roots,
 )
 from .forms import (
     BinaryForm,
@@ -94,24 +102,62 @@ def _iter_box(T: int):
 
 
 def _box_min_rational(f: BinaryForm, T: int) -> Tuple[Mag, Tuple[int, int]]:
+    """Exact box minimum from the critical points of each row.
+
+    For y >= 1, p_y(x) = P(x, y) = y^n P(x/y, 1) has its real roots at
+    x = rho*y and its critical points at x = sigma*y, where rho and sigma
+    run over the real roots of P(t, 1) and of its derivative.  Between
+    consecutive such points |p_y| is strictly monotone, so every minimizer
+    of a row is x = -T, x = T or an integer next to one of them.  With
+    enclosures of width <= 1/(4T), the integers from floor(lo*y) to
+    ceil(hi*y) cover those neighbours.  Row y = 0 is the single point
+    (1, 0).  The candidates are evaluated in (y, x) order with a strict
+    comparison, so value and attaining vector equal those of the full scan
+    over ``_iter_box``.
+    """
     ints, den = f._int_model()
     n = f.degree
-    best = None
-    best_vec = None
-    for x, y in _iter_box(T):
+    q = IntPolynomial(ints)
+    encs = _root_enclosures(q, T) + _root_enclosures(q.derivative(), T)
+    best = abs(ints[n])  # |P(x, 0)| = |c_n| |x|^n is least at x = 1
+    best_vec = (1, 0)
+    for y in range(1, T + 1):
+        if best == 0:
+            break
+        xs = {-T, T}
+        for lo, hi in encs:
+            a = max(lo.numerator * y // lo.denominator, -T)
+            b = min(-(-hi.numerator * y // hi.denominator), T)
+            xs.update(range(a, b + 1))
         ypow = [1] * (n + 1)
         for i in range(1, n + 1):
             ypow[i] = ypow[i - 1] * y
-        acc = 0
-        for i in range(n, -1, -1):
-            acc = acc * x + ints[i] * ypow[n - i]
-        v = abs(acc)
-        if best is None or v < best:
-            best = v
-            best_vec = (x, y)
-            if v == 0:
-                break
+        for x in sorted(xs):
+            acc = 0
+            for i in range(n, -1, -1):
+                acc = acc * x + ints[i] * ypow[n - i]
+            v = abs(acc)
+            if v < best:
+                best = v
+                best_vec = (x, y)
+                if v == 0:
+                    break
     return Mag(Fraction(best, den)), best_vec
+
+
+def _root_enclosures(q: IntPolynomial, T: int
+                     ) -> List[Tuple[Fraction, Fraction]]:
+    """(lo, hi) of width <= 1/(4T) around each real root of ``q``.
+
+    The roots are isolated afresh, so no shared root value is refined."""
+    if q.degree < 1:
+        return []
+    w = Fraction(1, 4 * T)
+    out = []
+    for r in isolate_real_roots(q.squarefree_part()):
+        iv = r.enclosure(w)
+        out.append((iv.lo, iv.hi))
+    return out
 
 
 def _box_min_product(pf: ProductForm, T: int) -> Tuple[Mag, Tuple[int, int]]:
@@ -155,14 +201,6 @@ def _box_min_product(pf: ProductForm, T: int) -> Tuple[Mag, Tuple[int, int]]:
         if best_mag is None or mag.compare(best_mag) < 0:
             best_mag, best_vec = mag, (x, y)
     return best_mag, best_vec
-
-
-def _abs_bounds(lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    if lo >= 0:
-        return lo, hi
-    if hi <= 0:
-        return -hi, -lo
-    return Fraction(0), max(-lo, hi)
 
 
 def brute_force_min(f: FormLike, box: int = DEFAULT_BOX) -> MinResult:
@@ -451,8 +489,8 @@ def _pow_frac(base: int, e: Fraction) -> Fraction:
 
 
 def _certify_anisotropic(f: FormLike, best: Mag, box: int) -> Tuple[bool, str]:
-    """No real roots: |P(x,y)| >= C * max(|x|,|y|)^n with C from an exact
-    subdivision bound on the unit square boundary."""
+    """No real roots: |P(x,y)| >= C * max(|x|,|y|)^n with C the floor of
+    |P| on the unit square boundary from ``_boundary_floor``."""
     n = f.degree
     C = _boundary_floor(f)
     if C is None or C <= 0:
@@ -464,43 +502,42 @@ def _certify_anisotropic(f: FormLike, best: Mag, box: int) -> Tuple[bool, str]:
 
 
 def _boundary_floor(f: FormLike) -> Optional[Fraction]:
-    """Rational lower bound of min |P| on the boundary of the unit square."""
-    if isinstance(f, BinaryForm) and f.is_rational():
-        fracs = f.rational_coeffs()
-        n = f.degree
-        lo = None
-        for kind in ("x", "y"):
-            for sgn in (1, -1):
-                coeffs = []
-                for i in range(n + 1):
-                    if kind == "y":  # y = sgn, poly in x=t
-                        coeffs.append(fracs[i] * (sgn ** (n - i)))
-                    else:  # x = sgn, poly in y=t
-                        coeffs.append(fracs[n - i] * (sgn ** (n - i)))
-                b = _poly_abs_floor(coeffs, Fraction(-1), Fraction(1))
-                lo = b if lo is None else min(lo, b)
-        return lo
-    return None
+    """Rational lower bound of min |P| on the boundary of the unit square.
+
+    Without a real root, |P| on an edge is |q(t)| for t in [-1, 1], with
+    q(t) = P(t, 1) on the edges y = +-1 (|P(t, -1)| = |P(-t, 1)|) and
+    q(t) = P(1, t) on the edges x = +-1.  Its minimum is at t = +-1, taken
+    exactly, or at a real root sigma of q' in [-1, 1], bounded below by
+    interval evaluation of q on an enclosure of sigma.  None for forms
+    without rational coefficients; 0 when P has a real root.
+    """
+    if not (isinstance(f, BinaryForm) and f.is_rational()):
+        return None
+    ints, den = f._int_model()
+    if ints[-1] == 0 or f.real_root_values():
+        return Fraction(0)
+    vals = []
+    for q in (IntPolynomial(ints), IntPolynomial(ints[::-1])):
+        vals += [abs(q.eval_int(1)), abs(q.eval_int(-1))]
+        for s in isolate_real_roots(q.derivative().squarefree_part()):
+            if s.compare(Fraction(-1)) >= 0 and s.compare(Fraction(1)) <= 0:
+                vals.append(_critical_floor(q, s))
+    return Fraction(min(vals)) / den
 
 
-def _poly_abs_floor(coeffs: List[Fraction], lo: Fraction, hi: Fraction,
-                    depth: int = 12) -> Fraction:
-    """Lower bound of |poly(t)| on [lo, hi] by dyadic subdivision."""
-    stack = [(lo, hi, 0)]
-    best = None
-    while stack:
-        a, b, d = stack.pop()
-        iv = _eval_frac_interval(coeffs, RatInterval(a, b))
-        alo, _ = _abs_bounds(iv.lo, iv.hi)
-        if d >= depth:
-            best = alo if best is None else min(best, alo)
-            continue
-        if best is not None and alo > best:
-            continue
-        m = (a + b) / 2
-        stack.append((a, m, d + 1))
-        stack.append((m, b, d + 1))
-    return best if best is not None else Fraction(0)
+def _critical_floor(q: IntPolynomial, s) -> Fraction:
+    """Lower bound of |q(s)| > 0 within a relative 2^-20 of it: the lower
+    end of the interval image of an enclosure of ``s``, narrowed until
+    that image excludes 0 and is that narrow."""
+    if s.is_rational():
+        return abs(q.eval(s.as_fraction()))
+
+    def probe(w):
+        iv = _eval_frac_interval(q.coeffs, s.enclosure(w)).abs()
+        if iv.lo > 0 and (iv.hi - iv.lo) * 2 ** 20 <= iv.lo:
+            return iv.lo
+        return None
+    return _decide(probe, s.interval().width, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import formspec
 from formspec.cli import main
+from formspec.forms import BinaryForm
 
 
 def run(capsys, *argv):
@@ -39,6 +40,23 @@ class TestMin:
         payload = json.loads(out)
         assert payload["value"]["exact"] == "0"
         assert payload["certified"] is True
+
+    @pytest.mark.parametrize("form", ["3: 1 0 -7 5", "2: 7 -3 -5"])
+    def test_single_json_document(self, capsys, tmp_path, form):
+        code, out, _ = run(capsys, "min", form, "--format", "json",
+                           "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 0
+        payload, end = json.JSONDecoder().raw_decode(out)
+        assert out[end:].strip() == ""  # exactly one document on stdout
+        vec = payload["attaining"]
+        assert isinstance(vec, list) and len(vec) == 2
+        assert all(type(c) is int for c in vec)
+        f = BinaryForm.parse(form)
+        value = abs(f.evaluate(*vec))
+        assert value == F(payload["value"]["exact"])
+        assert all(abs(f.evaluate(x, y)) >= value
+                   for x in range(-10, 11) for y in range(-10, 11)
+                   if (x, y) != (0, 0))
 
     def test_malformed_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "min", "3: nope",
@@ -180,6 +198,18 @@ class TestCache:
                            "--cache", str(tmp_path / "c.jsonl"))
         assert code == 0
         json.loads(out)  # default format picked up from the config file
+
+    def test_config_change_between_calls(self, capsys, tmp_path, monkeypatch):
+        # the parser is built once per configuration, and the config file
+        # is still read on every call
+        cache = str(tmp_path / "c.jsonl")
+        for fmt, is_json in (("json", True), ("text", False), ("json", True)):
+            cfg = tmp_path / f"{fmt}.json"
+            cfg.write_text(json.dumps({"format": fmt}))
+            monkeypatch.setenv("FORMSPEC_CONFIG", str(cfg))
+            code, out, _ = run(capsys, "min", "3: 1 0 -1 -1", "--cache", cache)
+            assert code == 0
+            assert out.startswith("{") == is_json
 
     def test_env_cache_path(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache.jsonl"

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import floor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formspec.exactcore import (
     IntPolynomial,
@@ -14,6 +16,8 @@ from formspec.exactcore import (
 from formspec.cfengine import convergents, expand
 from formspec.forms import BinaryForm, Mag, ProductForm, Transform, act
 from formspec.minima import (
+    _boundary_floor,
+    _iter_box,
     brute_force_min,
     convergent_candidates,
     m_estimate,
@@ -40,6 +44,87 @@ class TestBruteForce:
         assert r.value.is_zero()
         x, y = r.attaining
         assert f.evaluate(x, y) == 0  # the attaining vector is an exact zero
+
+
+def _scan_box(f: BinaryForm, T: int):
+    """Every point of the box in (y, x) order, first strict minimum kept."""
+    best = vec = None
+    for x, y in _iter_box(T):
+        v = abs(f.evaluate(x, y))
+        if best is None or v < best:
+            best, vec = v, (x, y)
+    return best, vec
+
+
+@st.composite
+def _small_forms(draw):
+    """Degree 2-5, coefficients -9..9, high power first; with a drawn
+    rational linear factor, or with the x^n or y^n coefficient zeroed."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["plain", "zero-end", "rational-root"]))
+    if kind == "rational-root":
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rest = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        cs = [0] * (n + 1)
+        for i, c in enumerate(rest):  # (a x + b y) * rest
+            cs[i] += a * c
+            cs[i + 1] += b * c
+    else:
+        cs = draw(st.lists(st.integers(-9, 9), min_size=n + 1,
+                           max_size=n + 1))
+        if kind == "zero-end":
+            cs[draw(st.sampled_from([0, n]))] = 0
+    if all(c == 0 for c in cs):
+        cs[0] = 1
+    return f"{n}: " + " ".join(map(str, cs))
+
+
+class TestBoxScanProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_small_forms(), st.integers(1, 12))
+    @example("2: 1 0 1", 5)            # tie: (1, 0) and (0, 1)
+    @example("2: 1 0 -1", 4)           # tied zeros on both diagonals
+    @example("3: 1 0 -1 0", 3)         # three rational roots
+    @example("3: 0 1 0 -2", 6)         # x^3 coefficient zero
+    @example("4: 1 0 0 0 0", 7)        # y^4 coefficient zero, x^4 only
+    @example("4: 0 0 0 0 3", 2)        # 3 y^4: every row constant in x
+    @example("5: 2 -9 0 9 -1 4", 12)
+    def test_matches_full_scan(self, text, T):
+        f = BinaryForm.parse(text)
+        r = brute_force_min(f, T)
+        value, vec = _scan_box(f, T)
+        assert r.value.as_fraction() == value
+        assert r.attaining == vec
+
+
+class TestAnisotropicFloor:
+    def test_floor_below_every_point(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 8:
+            cs = [rng.randint(-4, 4) for _ in range(5)]
+            if cs[0] == 0 or isolate_real_roots(
+                    IntPolynomial(cs[::-1]).squarefree_part()):
+                continue
+            f = BinaryForm.parse("4: " + " ".join(map(str, cs)))
+            C = _boundary_floor(f)
+            assert C > 0
+            for x in range(-20, 21):
+                for y in range(-20, 21):
+                    if (x, y) != (0, 0):
+                        m = max(abs(x), abs(y))
+                        assert C * m ** 4 <= abs(f.evaluate(x, y))
+            checked += 1
+
+    def test_not_below_the_subdivision_floor(self):
+        # the 12-level dyadic subdivision this replaced reported 2.23
+        f = BinaryForm.parse("4: -4 3 0 1 -3")
+        assert _boundary_floor(f) >= F(223, 100)
+        assert "anisotropic floor 2.23" in m_estimate(f).certificate_note
+
+    def test_exact_at_rational_critical_point(self):
+        # x^2 + xy + y^2 is least on the boundary at (-1/2, 1): 3/4
+        assert _boundary_floor(BinaryForm.parse("2: 1 1 1")) == F(3, 4)
 
 
 class TestConvergentCandidates:
